@@ -22,14 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateScenarioError, InvalidParamsError
-from .measures import (
-    DerivedMeasures,
-    PopulationParams,
-    c_index_closed,
-    par,
-    prevalence_in_cases,
-    prevalence_in_controls,
-)
+from .measures import DerivedMeasures, PopulationParams, _measure_kernel
 
 __all__ = [
     "CohortCounts",
@@ -187,7 +180,9 @@ def empirical_measures(counts: CohortCounts) -> DerivedMeasures:
     The ``c_index`` field agrees with :func:`empirical_c` on the same
     counts to within float rounding: the two routes are algebraically
     identical on plug-in frequencies. Cohorts with no exposed cases yield
-    a protective-direction record (rr_hat = 0, negative par).
+    a protective-direction record (rr_hat = 0, negative par). The checks
+    below stand in for :class:`PopulationParams`; the values then come from
+    the same measure kernel as :func:`derive_measures`.
     """
     f_hat, p0_hat, p1_hat = plugin_rates(counts)
     if counts.n_cases == 0 or counts.n_controls == 0:
@@ -200,13 +195,4 @@ def empirical_measures(counts: CohortCounts) -> DerivedMeasures:
             "no unexposed subject became a case, so the plug-in relative risk "
             "p1_hat / p0_hat is undefined"
         )
-    rr_hat = p1_hat / p0_hat
-    f_cases = prevalence_in_cases(f_hat, p0_hat, p1_hat)
-    f_controls = prevalence_in_controls(f_hat, p0_hat, p1_hat)
-    return DerivedMeasures(
-        p1=p1_hat,
-        f_cases=f_cases,
-        f_controls=f_controls,
-        par=par(f_hat, rr_hat),
-        c_index=c_index_closed(f_cases, f_controls),
-    )
+    return DerivedMeasures(*_measure_kernel(f_hat, p0_hat, p1_hat, p1_hat / p0_hat))

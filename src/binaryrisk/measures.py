@@ -11,20 +11,23 @@ Two routes to the concordance index are kept deliberately distinct.
 :func:`c_index_three_term` evaluates the pairwise success probability term
 by term, :func:`c_index_closed` evaluates the simplified linear form
 0.5 * (1 + f_cases - f_controls), and the test suite holds the two to
-agree to 1e-12. Inverse problems (which rr produces a given PAR, which rr
-produces a given c-index) are solved algebraically where possible and by
-bisection otherwise; bisection is sound because the c-index is strictly
-increasing in rr at fixed (f, p0).
+agree to 1e-12. The algebra is written once, in :func:`_measure_kernel`,
+which serves one scenario on floats and a whole grid on numpy arrays.
+Inverse problems (which rr produces a given PAR, which rr produces a given
+c-index) are solved algebraically where possible and by bisection
+otherwise; bisection is sound because the c-index is strictly increasing
+in rr at fixed (f, p0).
 
 All computation is plain 64-bit floating point. Scenario validation is
 centralised in :class:`PopulationParams`, so a params object that exists
-is always a realizable population.
+is always a realizable population; the public scalar helpers validate
+their own arguments because they take user input.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .errors import (
     DegenerateScenarioError,
@@ -80,6 +83,65 @@ def _require_rr(value, *, allow_zero: bool = False) -> float:
     return x
 
 
+def _realizable_p1(p0: float, rr: float) -> float:
+    p1 = rr * p0
+    if p1 > 1.0:
+        raise InvalidParamsError(
+            f"rr*p0 = {p1:.6g} exceeds 1, so the incidence among the exposed "
+            f"would not be a probability; rr*p0 <= 1 is required"
+        )
+    return p1
+
+
+def _any(condition) -> bool:
+    """Reduce an elementwise comparison: a bool as is, an array by ``any()``."""
+    return condition if isinstance(condition, bool) else bool(condition.any())
+
+
+# The measure algebra. It validates nothing (its callers have) and uses only
+# arithmetic operators in a fixed order, so floats and numpy arrays give
+# bitwise-equal results.
+
+
+def _f_cases(f, p0, p1):
+    denom = f * p1 + (1.0 - f) * p0
+    if _any(denom <= 0.0):
+        raise DegenerateScenarioError(
+            "overall incidence f*p1 + (1-f)*p0 is zero: no cases exist, so the "
+            "factor prevalence among cases is undefined"
+        )
+    return f * p1 / denom
+
+
+def _f_controls(f, p0, p1):
+    denom = f * (1.0 - p1) + (1.0 - f) * (1.0 - p0)
+    if _any(denom <= 0.0):
+        raise DegenerateScenarioError(
+            "f*(1-p1) + (1-f)*(1-p0) is zero: everyone is a case, so the factor "
+            "prevalence among controls is undefined"
+        )
+    return f * (1.0 - p1) / denom
+
+
+def _par(f, rr):
+    excess = f * (rr - 1.0)
+    return excess / (excess + 1.0)
+
+
+def _c_linear(f_cases, f_controls):
+    return 0.5 * (1.0 + f_cases - f_controls)
+
+
+def _measure_kernel(f, p0, p1, rr):
+    """(p1, f_cases, f_controls, par, c_index) for floats or arrays of scenarios.
+
+    Raises :class:`DegenerateScenarioError` when a denominator is zero.
+    """
+    f_cases = _f_cases(f, p0, p1)
+    f_controls = _f_controls(f, p0, p1)
+    return p1, f_cases, f_controls, _par(f, rr), _c_linear(f_cases, f_controls)
+
+
 @dataclass(frozen=True)
 class PopulationParams:
     """A realizable population scenario for one binary risk factor.
@@ -93,6 +155,9 @@ class PopulationParams:
         1 because the implied incidence among the exposed is itself a
         probability.
 
+    p1
+        Disease incidence among the exposed, rr * p0; derived, not passed.
+
     Construction validates every constraint; the constraint check is not
     repeated downstream.
     """
@@ -100,22 +165,14 @@ class PopulationParams:
     f: float
     p0: float
     rr: float
+    p1: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "f", _require_prob(self.f, "f", open_interval=True))
         object.__setattr__(self, "p0", _require_prob(self.p0, "p0", open_interval=True))
         rr = _require_rr(self.rr)
-        if rr * self.p0 > 1.0:
-            raise InvalidParamsError(
-                f"rr*p0 = {rr * self.p0:.6g} exceeds 1, so the incidence among the "
-                f"exposed would not be a probability; rr*p0 <= 1 is required"
-            )
+        object.__setattr__(self, "p1", _realizable_p1(self.p0, rr))
         object.__setattr__(self, "rr", rr)
-
-    @property
-    def p1(self) -> float:
-        """Disease incidence among the exposed, rr * p0."""
-        return self.rr * self.p0
 
 
 @dataclass(frozen=True)
@@ -169,15 +226,7 @@ def incidence_exposed(p0, rr) -> float:
     Raises :class:`InvalidParamsError` when rr * p0 exceeds 1: such a
     scenario is unrealizable.
     """
-    p0 = _require_prob(p0, "p0", open_interval=True)
-    rr = _require_rr(rr)
-    p1 = rr * p0
-    if p1 > 1.0:
-        raise InvalidParamsError(
-            f"rr*p0 = {p1:.6g} exceeds 1, so the incidence among the exposed "
-            f"would not be a probability; rr*p0 <= 1 is required"
-        )
-    return p1
+    return _realizable_p1(_require_prob(p0, "p0", open_interval=True), _require_rr(rr))
 
 
 def prevalence_in_cases(f, p0, p1) -> float:
@@ -187,16 +236,7 @@ def prevalence_in_cases(f, p0, p1) -> float:
     denominator is the overall disease incidence; when it vanishes there
     are no cases and the quantity is undefined.
     """
-    f = _require_prob(f, "f")
-    p0 = _require_prob(p0, "p0")
-    p1 = _require_prob(p1, "p1")
-    denom = f * p1 + (1.0 - f) * p0
-    if denom <= 0.0:
-        raise DegenerateScenarioError(
-            "overall incidence f*p1 + (1-f)*p0 is zero: no cases exist, so the "
-            "factor prevalence among cases is undefined"
-        )
-    return f * p1 / denom
+    return _f_cases(_require_prob(f, "f"), _require_prob(p0, "p0"), _require_prob(p1, "p1"))
 
 
 def prevalence_in_controls(f, p0, p1) -> float:
@@ -205,16 +245,7 @@ def prevalence_in_controls(f, p0, p1) -> float:
     f*(1-p1) / (f*(1-p1) + (1-f)*(1-p0)); undefined when everyone becomes
     a case.
     """
-    f = _require_prob(f, "f")
-    p0 = _require_prob(p0, "p0")
-    p1 = _require_prob(p1, "p1")
-    denom = f * (1.0 - p1) + (1.0 - f) * (1.0 - p0)
-    if denom <= 0.0:
-        raise DegenerateScenarioError(
-            "f*(1-p1) + (1-f)*(1-p0) is zero: everyone is a case, so the factor "
-            "prevalence among controls is undefined"
-        )
-    return f * (1.0 - p1) / denom
+    return _f_controls(_require_prob(f, "f"), _require_prob(p0, "p0"), _require_prob(p1, "p1"))
 
 
 def par(f, rr) -> float:
@@ -223,17 +254,9 @@ def par(f, rr) -> float:
     Negative values indicate a protective factor (rr < 1) and are returned
     unclamped. rr = 0 is accepted as the fully protective limit so that
     plug-in estimates from cohorts with no exposed cases stay computable.
+    The denominator is at least 1 - f > 0, also in floating point.
     """
-    f = _require_prob(f, "f", open_interval=True)
-    rr = _require_rr(rr, allow_zero=True)
-    excess = f * (rr - 1.0)
-    denom = excess + 1.0
-    if denom <= 0.0:
-        raise InvalidParamsError(
-            f"f*(rr-1) + 1 = {denom:.6g} is not positive; the attributable "
-            f"risk is undefined for f = {f:g}, rr = {rr:g}"
-        )
-    return excess / denom
+    return _par(_require_prob(f, "f", open_interval=True), _require_rr(rr, allow_zero=True))
 
 
 def c_index_three_term(f_cases, f_controls) -> float:
@@ -258,30 +281,20 @@ def c_index_three_term(f_cases, f_controls) -> float:
 
 def c_index_closed(f_cases, f_controls) -> float:
     """Concordance index in closed linear form, 0.5 * (1 + f_cases - f_controls)."""
-    a = _require_prob(f_cases, "f_cases")
-    b = _require_prob(f_controls, "f_controls")
-    return 0.5 * (1.0 + a - b)
+    return _c_linear(_require_prob(f_cases, "f_cases"), _require_prob(f_controls, "f_controls"))
 
 
 def derive_measures(params: PopulationParams) -> DerivedMeasures:
     """Compute the full set of derived measures for one scenario.
 
-    The ``c_index`` field is computed via :func:`c_index_closed`.
+    The validated params go straight to :func:`_measure_kernel`, whose
+    ``c_index`` is the linear form of :func:`c_index_closed`.
     """
     if not isinstance(params, PopulationParams):
         raise InvalidParamsError(
             f"params must be a PopulationParams, got {type(params).__name__}"
         )
-    p1 = params.p1
-    f_cases = prevalence_in_cases(params.f, params.p0, p1)
-    f_controls = prevalence_in_controls(params.f, params.p0, p1)
-    return DerivedMeasures(
-        p1=p1,
-        f_cases=f_cases,
-        f_controls=f_controls,
-        par=par(params.f, params.rr),
-        c_index=c_index_closed(f_cases, f_controls),
-    )
+    return DerivedMeasures(*_measure_kernel(params.f, params.p0, params.p1, params.rr))
 
 
 def rr_from_par(f, target_par) -> float:
@@ -349,8 +362,9 @@ def rr_for_target_c(f, p0, target_c, config: SolverConfig | None = None) -> floa
             f"the bracket [1, {hi:g}] is empty; rr_upper_bound must exceed 1"
         )
 
+    # Every rr in [1, hi] keeps rr * p0 <= 1: the scenario needs no re-validation.
     def c_at(rr: float) -> float:
-        return derive_measures(PopulationParams(f=f, p0=p0, rr=rr)).c_index
+        return _measure_kernel(f, p0, rr * p0, rr)[4]
 
     c_hi = c_at(hi)
     if target > c_hi:

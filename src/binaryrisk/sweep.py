@@ -28,13 +28,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import InvalidParamsError, RenderError
-from .measures import (
-    PopulationParams,
-    _require_finite,
-    _require_prob,
-    derive_measures,
-    par,
-)
+from .measures import _measure_kernel, _par, _require_finite, _require_prob, par
 
 __all__ = [
     "GridSpec",
@@ -159,8 +153,9 @@ class ContourSet:
 def evaluate_grid(spec: GridSpec, prevalence: float) -> MeasureGrid:
     """Evaluate the c-index lattice for one prevalence panel of ``spec``.
 
-    Every unmasked cell is computed through :func:`derive_measures`, so
-    grid values agree with direct scenario evaluation by construction.
+    All unmasked cells go through the shared measure kernel in one array
+    call, the same code that :func:`derive_measures` runs on one scenario,
+    so grid values equal direct scenario evaluation bit for bit.
     """
     if not isinstance(spec, GridSpec):
         raise InvalidParamsError(f"spec must be a GridSpec, got {type(spec).__name__}")
@@ -170,20 +165,13 @@ def evaluate_grid(spec: GridSpec, prevalence: float) -> MeasureGrid:
         )
     p0_axis = np.linspace(spec.p0_min, spec.p0_max, spec.resolution)
     rr_axis = np.linspace(spec.rr_min, spec.rr_max, spec.resolution)
-    p0_values = [float(x) for x in p0_axis]
-    rr_values = [float(x) for x in rr_axis]
-    c_values = np.full((spec.resolution, spec.resolution), np.nan)
-    mask = np.zeros((spec.resolution, spec.resolution), dtype=bool)
-    for i, rr_value in enumerate(rr_values):
-        row = c_values[i]
-        for j, p0_value in enumerate(p0_values):
-            if rr_value * p0_value > 1.0:
-                mask[i, j] = True
-                continue
-            row[j] = derive_measures(
-                PopulationParams(f=prevalence, p0=p0_value, rr=rr_value)
-            ).c_index
-    par_axis = np.array([par(prevalence, rr_value) for rr_value in rr_values])
+    rr_cells, p0_cells = np.meshgrid(rr_axis, p0_axis, indexing="ij")
+    p1 = rr_cells * p0_cells
+    mask = p1 > 1.0
+    ok = ~mask
+    c_values = np.full(p1.shape, np.nan)
+    c_values[ok] = _measure_kernel(prevalence, p0_cells[ok], p1[ok], rr_cells[ok])[4]
+    par_axis = _par(prevalence, rr_axis)
     return MeasureGrid(
         prevalence=float(prevalence),
         p0_axis=p0_axis,

@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 from binaryrisk import (
     CohortCounts,
     DegenerateScenarioError,
+    DerivedMeasures,
     InvalidParamsError,
     PopulationParams,
     SimulationSpec,
@@ -13,7 +14,10 @@ from binaryrisk import (
     derive_measures,
     empirical_c,
     empirical_measures,
+    par,
     plugin_rates,
+    prevalence_in_cases,
+    prevalence_in_controls,
     simulate_cohort,
 )
 
@@ -191,6 +195,27 @@ class TestEmpiricalMeasures:
         assert measures.f_controls == pytest.approx(0.5, abs=1e-12)
         assert measures.par == pytest.approx(-0.5, abs=1e-12)
         assert measures.c_index == pytest.approx(0.25, abs=1e-12)
+
+    @pytest.mark.parametrize(
+        "counts",
+        [
+            CohortCounts(3, 17, 8, 72),
+            CohortCounts(120, 380, 40, 460),
+            CohortCounts(0, 50, 7, 43),  # no exposed case: rr_hat = 0
+            CohortCounts(10, 0, 5, 5),  # no exposed control: p1_hat = 1
+        ],
+    )
+    def test_equals_public_helpers_on_plugin_rates(self, counts):
+        f_hat, p0_hat, p1_hat = plugin_rates(counts)
+        f_cases = prevalence_in_cases(f_hat, p0_hat, p1_hat)
+        f_controls = prevalence_in_controls(f_hat, p0_hat, p1_hat)
+        assert empirical_measures(counts) == DerivedMeasures(
+            p1=p1_hat,
+            f_cases=f_cases,
+            f_controls=f_controls,
+            par=par(f_hat, p1_hat / p0_hat),
+            c_index=c_index_closed(f_cases, f_controls),
+        )
 
     def test_no_unexposed_cases_degenerate(self):
         with pytest.raises(DegenerateScenarioError):

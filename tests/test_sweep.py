@@ -87,6 +87,22 @@ class TestGridSpec:
             GridSpec(**kwargs)
 
 
+def _per_cell_reference(spec, prevalence):
+    """The grid as a loop of validated scenarios, one per unmasked cell."""
+    p0_values = [float(x) for x in np.linspace(spec.p0_min, spec.p0_max, spec.resolution)]
+    rr_values = [float(x) for x in np.linspace(spec.rr_min, spec.rr_max, spec.resolution)]
+    c_values = np.full((spec.resolution, spec.resolution), np.nan)
+    mask = np.zeros((spec.resolution, spec.resolution), dtype=bool)
+    for i, rr in enumerate(rr_values):
+        for j, p0 in enumerate(p0_values):
+            if rr * p0 > 1.0:
+                mask[i, j] = True
+            else:
+                params = PopulationParams(f=prevalence, p0=p0, rr=rr)
+                c_values[i, j] = derive_measures(params).c_index
+    return c_values, mask
+
+
 class TestEvaluateGrid:
     def test_cell_nearest_reference_scenario(self, default_spec, default_grids):
         grid = default_grids[1]  # prevalence 0.2
@@ -131,6 +147,16 @@ class TestEvaluateGrid:
                     )
                 ).c_index
                 assert abs(grid.c_values[i, j] - direct) <= 1e-12
+
+    def test_bitwise_equal_to_per_cell_loop(
+        self, default_spec, default_grids, wide_spec, wide_grid
+    ):
+        for spec, grids in ((default_spec, default_grids), (wide_spec, [wide_grid])):
+            for grid in grids:
+                ref_c, ref_mask = _per_cell_reference(spec, grid.prevalence)
+                assert np.array_equal(grid.mask, ref_mask)
+                assert np.array_equal(grid.c_values, ref_c, equal_nan=True)
+        assert wide_grid.mask.any()
 
     def test_monotone_structure(self, default_grids):
         for grid in default_grids:
