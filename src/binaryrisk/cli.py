@@ -59,8 +59,8 @@ def _emit(command: str, inputs: dict, results: dict, warnings=None) -> None:
         "results": results,
         "warnings": list(warnings or []),
     }
-    json.dump(envelope, sys.stdout, indent=2)
-    sys.stdout.write("\n")
+    # encode in full before writing, so a failure leaves stdout empty
+    sys.stdout.write(json.dumps(envelope, indent=2, allow_nan=False) + "\n")
 
 
 def _flatten(record: dict, prefix: str = "") -> dict:
@@ -99,7 +99,7 @@ def _write_record_payload(args, record: dict) -> list[str]:
     if args.format == "csv":
         text = _record_csv(record)
     else:
-        text = json.dumps(record, indent=2) + "\n"
+        text = json.dumps(record, indent=2, allow_nan=False) + "\n"
     _write_text(args.out, text)
     return [args.out]
 

@@ -20,9 +20,7 @@ resources.
 
 from __future__ import annotations
 
-import csv
-import io
-import json
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -340,6 +338,31 @@ def _tick_label(x: float) -> str:
     return f"{x:.4g}"
 
 
+def _axis_svg(name: str, ticks, layout, title_position: str, title: str) -> list[str]:
+    """One axis group: a tick mark and a label per tick, then the axis title.
+
+    ``ticks`` holds ``(x, y, label)`` with (x, y) on the frame; ``layout``
+    holds the tick mark's two end offsets from that point, the label's
+    offset and its text-anchor.
+    """
+    dx1, dy1, dx2, dy2, text_dx, text_dy, anchor = layout
+    parts = [f'<g class="axis axis-{name}">']
+    for x, y, label in ticks:
+        parts.append(
+            f'<line class="tick" x1="{_px(x + dx1)}" y1="{_px(y + dy1)}" '
+            f'x2="{_px(x + dx2)}" y2="{_px(y + dy2)}"/>'
+        )
+        parts.append(
+            f'<text x="{_px(x + text_dx)}" y="{_px(y + text_dy)}" '
+            f'text-anchor="{anchor}">{label}</text>'
+        )
+    parts.append(
+        f'<text class="axis-label" {title_position} text-anchor="middle">{title}</text>'
+    )
+    parts.append("</g>")
+    return parts
+
+
 def _panel_svg(grid: MeasureGrid, spec: GridSpec, offset_x: float) -> list[str]:
     x0 = offset_x + _MARGIN_LEFT
     y0 = _MARGIN_TOP
@@ -365,64 +388,31 @@ def _panel_svg(grid: MeasureGrid, spec: GridSpec, offset_x: float) -> list[str]:
         f'width="{_px(_PANEL_WIDTH)}" height="{_px(_PANEL_HEIGHT)}"/>'
     )
 
-    parts.append('<g class="axis axis-p0">')
-    for k in range(_AXIS_TICKS):
-        value = spec.p0_min + p0_span * k / (_AXIS_TICKS - 1)
-        x = to_x(value)
-        parts.append(
-            f'<line class="tick" x1="{_px(x)}" y1="{_px(bottom)}" '
-            f'x2="{_px(x)}" y2="{_px(bottom + 4)}"/>'
-        )
-        parts.append(
-            f'<text x="{_px(x)}" y="{_px(bottom + 16)}" text-anchor="middle">'
-            f"{_tick_label(value)}</text>"
-        )
-    parts.append(
-        f'<text class="axis-label" x="{_px(x0 + _PANEL_WIDTH / 2)}" '
-        f'y="{_px(bottom + 34)}" text-anchor="middle">'
-        f"incidence among unexposed (p0)</text>"
+    p0_ticks = [spec.p0_min + p0_span * k / (_AXIS_TICKS - 1) for k in range(_AXIS_TICKS)]
+    rr_ticks = [spec.rr_min + rr_span * k / (_AXIS_TICKS - 1) for k in range(_AXIS_TICKS)]
+    parts += _axis_svg(
+        "p0",
+        [(to_x(v), bottom, _tick_label(v)) for v in p0_ticks],
+        (0.0, 0.0, 0.0, 4.0, 0.0, 16.0, "middle"),
+        f'x="{_px(x0 + _PANEL_WIDTH / 2)}" y="{_px(bottom + 34)}"',
+        "incidence among unexposed (p0)",
     )
-    parts.append("</g>")
-
-    parts.append('<g class="axis axis-rr">')
-    for k in range(_AXIS_TICKS):
-        value = spec.rr_min + rr_span * k / (_AXIS_TICKS - 1)
-        y = to_y(value)
-        parts.append(
-            f'<line class="tick" x1="{_px(x0 - 4)}" y1="{_px(y)}" '
-            f'x2="{_px(x0)}" y2="{_px(y)}"/>'
-        )
-        parts.append(
-            f'<text x="{_px(x0 - 7)}" y="{_px(y + 3)}" text-anchor="end">'
-            f"{_tick_label(value)}</text>"
-        )
-    parts.append(
-        f'<text class="axis-label" transform="translate({_px(x0 - 44)},'
-        f'{_px(y0 + _PANEL_HEIGHT / 2)}) rotate(-90)" text-anchor="middle">'
-        f"relative risk (RR)</text>"
+    parts += _axis_svg(
+        "rr",
+        [(x0, to_y(v), _tick_label(v)) for v in rr_ticks],
+        (-4.0, 0.0, 0.0, 0.0, -7.0, 3.0, "end"),
+        f'transform="translate({_px(x0 - 44)},{_px(y0 + _PANEL_HEIGHT / 2)}) rotate(-90)"',
+        "relative risk (RR)",
     )
-    parts.append("</g>")
-
     # The attributable risk is a bijection of rr at fixed prevalence, so the
     # right axis relabels the rr ticks with their PAR values.
-    parts.append('<g class="axis axis-par">')
-    for k in range(_AXIS_TICKS):
-        value = spec.rr_min + rr_span * k / (_AXIS_TICKS - 1)
-        y = to_y(value)
-        parts.append(
-            f'<line class="tick" x1="{_px(right)}" y1="{_px(y)}" '
-            f'x2="{_px(right + 4)}" y2="{_px(y)}"/>'
-        )
-        parts.append(
-            f'<text x="{_px(right + 7)}" y="{_px(y + 3)}" text-anchor="start">'
-            f"{_tick_label(par(grid.prevalence, value))}</text>"
-        )
-    parts.append(
-        f'<text class="axis-label" transform="translate({_px(right + 48)},'
-        f'{_px(y0 + _PANEL_HEIGHT / 2)}) rotate(90)" text-anchor="middle">'
-        f"population-attributable risk (PAR)</text>"
+    parts += _axis_svg(
+        "par",
+        [(right, to_y(v), _tick_label(par(grid.prevalence, v))) for v in rr_ticks],
+        (0.0, 0.0, 4.0, 0.0, 7.0, 3.0, "start"),
+        f'transform="translate({_px(right + 48)},{_px(y0 + _PANEL_HEIGHT / 2)}) rotate(90)"',
+        "population-attributable risk (PAR)",
     )
-    parts.append("</g>")
 
     parts.append('<g class="contours">')
     for level in spec.contour_levels:
@@ -493,74 +483,112 @@ def render_svg(grids, spec: GridSpec) -> str:
     return "\n".join(parts) + "\n"
 
 
-def _sig12(x) -> str:
-    return format(float(x), ".12g")
+def _json_float(x) -> str:
+    """``json.dumps(float(format(x, ".12g")))``, formatted once; finite values only.
+
+    A ``.12g`` text with a point and no exponent is already the shortest
+    repr of the rounded value. The rest (integral values, ``-0``, and the
+    exponent forms, where ``.12g`` and repr lay out digits differently)
+    goes through repr.
+    """
+    text = format(x, ".12g")
+    if "." in text and "e" not in text:
+        return text
+    value = float(text)
+    if not math.isfinite(value):
+        raise RenderError(f"cannot export the non-finite value {text} as JSON")
+    return repr(value)
 
 
-def _round12(x) -> float:
-    return float(format(float(x), ".12g"))
+def _json_array(texts: list[str], indent: int) -> str:
+    """A JSON array of formatted items, laid out as by ``json.dumps(indent=2)``."""
+    if not texts:
+        return "[]"
+    inner = "\n" + " " * (indent + 2)
+    return "[" + inner + ("," + inner).join(texts) + "\n" + " " * indent + "]"
+
+
+def _extend_json_array(parts: list[str], items, indent: int) -> None:
+    """Append to ``parts`` a JSON array of large items, each a list of parts.
+
+    Same layout as :func:`_json_array`, but nothing is joined here: one
+    join of the whole document keeps a single copy of the text in memory.
+    """
+    inner = "\n" + " " * (indent + 2)
+    empty = True
+    for item in items:
+        parts.append("[" + inner if empty else "," + inner)
+        parts += item
+        empty = False
+    parts.append("[]" if empty else "\n" + " " * indent + "]")
 
 
 def grids_to_csv(grids) -> str:
     """CSV export, one row per cell: f, p0, rr, par, c_index, masked.
 
     Floats carry 12 significant digits; masked cells leave c_index empty.
+    No field ever needs quoting: each is a number, empty, or true/false.
     """
-    buffer = io.StringIO()
-    writer = csv.writer(buffer, lineterminator="\n")
-    writer.writerow(["f", "p0", "rr", "par", "c_index", "masked"])
+    parts = ["f,p0,rr,par,c_index,masked\n"]
     for grid in grids:
-        f_text = _sig12(grid.prevalence)
-        p0_values = [_sig12(x) for x in grid.p0_axis]
-        for i in range(grid.rr_axis.size):
-            rr_text = _sig12(grid.rr_axis[i])
-            par_text = _sig12(grid.par_axis[i])
-            for j, p0_text in enumerate(p0_values):
-                masked = bool(grid.mask[i, j])
-                writer.writerow(
-                    [
-                        f_text,
-                        p0_text,
-                        rr_text,
-                        par_text,
-                        "" if masked else _sig12(grid.c_values[i, j]),
-                        "true" if masked else "false",
-                    ]
-                )
-    return buffer.getvalue()
+        f_text = format(grid.prevalence, ".12g")
+        heads = [f"{f_text},{p0:.12g}," for p0 in grid.p0_axis.tolist()]
+        rows = zip(
+            grid.rr_axis.tolist(),
+            grid.par_axis.tolist(),
+            grid.c_values.tolist(),
+            grid.mask.tolist(),
+        )
+        for rr, par_value, c_row, mask_row in rows:
+            middle = f"{rr:.12g},{par_value:.12g},"
+            cells = [
+                f"{head}{middle},true\n" if masked else f"{head}{middle}{c:.12g},false\n"
+                for head, c, masked in zip(heads, c_row, mask_row)
+            ]
+            parts.append("".join(cells))
+    return "".join(parts)
+
+
+def _grid_json_parts(grid: MeasureGrid) -> list[str]:
+    parts = [f'{{\n      "prevalence": {_json_float(grid.prevalence)}']
+    for name in ("p0_axis", "rr_axis", "par_axis"):
+        texts = [_json_float(v) for v in getattr(grid, name).tolist()]
+        parts.append(f',\n      "{name}": {_json_array(texts, 6)}')
+    mask_rows = grid.mask.tolist()
+    c_rows = (
+        [_json_array(["null" if m else _json_float(c) for c, m in zip(row, mask_row)], 8)]
+        for row, mask_row in zip(grid.c_values.tolist(), mask_rows)
+    )
+    parts.append(',\n      "c_values": ')
+    _extend_json_array(parts, c_rows, 6)
+    parts.append(',\n      "mask": ')
+    _extend_json_array(
+        parts,
+        ([_json_array(["true" if masked else "false" for masked in row], 8)] for row in mask_rows),
+        6,
+    )
+    parts.append("\n    }")
+    return parts
 
 
 def grids_to_json(grids, spec: GridSpec) -> str:
     """Nested JSON export: spec echo plus per-panel axis and value arrays.
 
     Floats are rounded to 12 significant digits; masked cells are null.
+    The layout is that of ``json.dumps(document, indent=2)``, and a
+    non-finite value raises :class:`RenderError`, so the text is valid JSON.
     """
-    document = {
-        "spec": {
-            "prevalences": [_round12(v) for v in spec.prevalences],
-            "p0_min": _round12(spec.p0_min),
-            "p0_max": _round12(spec.p0_max),
-            "rr_min": _round12(spec.rr_min),
-            "rr_max": _round12(spec.rr_max),
-            "resolution": spec.resolution,
-            "contour_levels": [_round12(v) for v in spec.contour_levels],
-        },
-        "grids": [
-            {
-                "prevalence": _round12(grid.prevalence),
-                "p0_axis": [_round12(v) for v in grid.p0_axis],
-                "rr_axis": [_round12(v) for v in grid.rr_axis],
-                "par_axis": [_round12(v) for v in grid.par_axis],
-                "c_values": [
-                    [
-                        None if grid.mask[i, j] else _round12(grid.c_values[i, j])
-                        for j in range(grid.p0_axis.size)
-                    ]
-                    for i in range(grid.rr_axis.size)
-                ],
-                "mask": [[bool(x) for x in row] for row in grid.mask],
-            }
-            for grid in grids
-        ],
-    }
-    return json.dumps(document, indent=2) + "\n"
+    prevalences = _json_array([_json_float(v) for v in spec.prevalences], 4)
+    levels = _json_array([_json_float(v) for v in spec.contour_levels], 4)
+    parts = [
+        f'{{\n  "spec": {{\n    "prevalences": {prevalences}'
+        f',\n    "p0_min": {_json_float(spec.p0_min)}'
+        f',\n    "p0_max": {_json_float(spec.p0_max)}'
+        f',\n    "rr_min": {_json_float(spec.rr_min)}'
+        f',\n    "rr_max": {_json_float(spec.rr_max)}'
+        f',\n    "resolution": {int(spec.resolution)}'
+        f',\n    "contour_levels": {levels}\n  }},\n  "grids": '
+    ]
+    _extend_json_array(parts, (_grid_json_parts(grid) for grid in grids), 2)
+    parts.append("\n}\n")
+    return "".join(parts)

@@ -1,9 +1,13 @@
+import csv
+import io
 import json
 import math
 import xml.etree.ElementTree as ET
 
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from binaryrisk import (
     ContourSet,
@@ -20,6 +24,7 @@ from binaryrisk import (
     par,
     render_svg,
 )
+from binaryrisk.sweep import _json_float
 
 from _oracles import bilinear_c
 
@@ -390,3 +395,118 @@ class TestExports:
         i, j = np.argwhere(wide_grid.mask)[0]
         assert grid_doc["mask"][int(i)][int(j)] is True
         assert grid_doc["c_values"][int(i)][int(j)] is None
+
+
+def _round12(x):
+    return float(format(float(x), ".12g"))
+
+
+def _reference_grids_to_json(grids, spec):
+    """The JSON export as a document handed to ``json.dumps``."""
+    document = {
+        "spec": {
+            "prevalences": [_round12(v) for v in spec.prevalences],
+            "p0_min": _round12(spec.p0_min),
+            "p0_max": _round12(spec.p0_max),
+            "rr_min": _round12(spec.rr_min),
+            "rr_max": _round12(spec.rr_max),
+            "resolution": spec.resolution,
+            "contour_levels": [_round12(v) for v in spec.contour_levels],
+        },
+        "grids": [
+            {
+                "prevalence": _round12(grid.prevalence),
+                "p0_axis": [_round12(v) for v in grid.p0_axis],
+                "rr_axis": [_round12(v) for v in grid.rr_axis],
+                "par_axis": [_round12(v) for v in grid.par_axis],
+                "c_values": [
+                    [
+                        None if grid.mask[i, j] else _round12(grid.c_values[i, j])
+                        for j in range(grid.p0_axis.size)
+                    ]
+                    for i in range(grid.rr_axis.size)
+                ],
+                "mask": [[bool(x) for x in row] for row in grid.mask],
+            }
+            for grid in grids
+        ],
+    }
+    return json.dumps(document, indent=2) + "\n"
+
+
+def _reference_grids_to_csv(grids):
+    """The CSV export as rows handed to ``csv.writer``, one cell at a time."""
+
+    def sig12(x):
+        return format(float(x), ".12g")
+
+    buffer = io.StringIO()
+    writer = csv.writer(buffer, lineterminator="\n")
+    writer.writerow(["f", "p0", "rr", "par", "c_index", "masked"])
+    for grid in grids:
+        for i in range(grid.rr_axis.size):
+            for j in range(grid.p0_axis.size):
+                masked = bool(grid.mask[i, j])
+                writer.writerow(
+                    [
+                        sig12(grid.prevalence),
+                        sig12(grid.p0_axis[j]),
+                        sig12(grid.rr_axis[i]),
+                        sig12(grid.par_axis[i]),
+                        "" if masked else sig12(grid.c_values[i, j]),
+                        "true" if masked else "false",
+                    ]
+                )
+    return buffer.getvalue()
+
+
+@pytest.fixture(
+    params=["default", "wide", "resolution_2", "empty", "generator", "exponent_levels"]
+)
+def export_case(request, default_spec, default_grids, wide_spec, wide_grid):
+    """(spec, grids, what the exporter under test is given)."""
+    case = request.param
+    if case == "wide":
+        return wide_spec, [wide_grid], [wide_grid]
+    if case == "empty":
+        return default_spec, [], []
+    if case == "generator":
+        return default_spec, default_grids, (grid for grid in default_grids)
+    if case in ("resolution_2", "exponent_levels"):
+        # levels where .12g and repr lay out the same number differently
+        spec = (
+            GridSpec(resolution=2)
+            if case == "resolution_2"
+            else GridSpec(resolution=11, contour_levels=(1e-7, -2.0, 123456789012345.0))
+        )
+        grids = [evaluate_grid(spec, f) for f in spec.prevalences]
+        return spec, grids, grids
+    return default_spec, default_grids, default_grids
+
+
+class TestExportByteIdentity:
+    def test_json_equals_json_dumps(self, export_case):
+        spec, grids, exported = export_case
+        assert grids_to_json(exported, spec) == _reference_grids_to_json(grids, spec)
+
+    def test_csv_equals_csv_writer(self, export_case):
+        _, grids, exported = export_case
+        assert grids_to_csv(exported) == _reference_grids_to_csv(grids)
+
+    @given(st.floats(allow_nan=False, allow_infinity=False))
+    @example(1e-7)
+    @example(-2.0)
+    @example(123456789012345.0)
+    @example(1e12)
+    @example(-0.0)
+    @example(5e-324)
+    def test_json_float_equals_json_dumps(self, x):
+        assert _json_float(x) == json.dumps(float(format(x, ".12g")))
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_json_rejects_unmasked_non_finite_cell(self, bad):
+        values = np.full((3, 3), 0.6)
+        values[1, 2] = bad
+        grid = _synthetic_grid(values)
+        with pytest.raises(RenderError):
+            grids_to_json([grid], GridSpec(prevalences=(0.2,)))
