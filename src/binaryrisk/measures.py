@@ -333,8 +333,10 @@ def rr_for_target_c(f, p0, target_c, config: SolverConfig | None = None) -> floa
     the result accurate in rr as well as in c.
 
     Raises :class:`TargetUnreachableError` when ``target_c`` exceeds the
-    c-index at the upper bracket end, and :class:`NoConvergenceError` when
-    the iteration budget runs out.
+    c-index at the upper bracket end by more than ``abs_tolerance``, and
+    :class:`NoConvergenceError` when the iteration budget runs out. A
+    target above that c-index but within ``abs_tolerance`` of it returns the
+    bracket end, which already meets the tolerance contract in c.
     """
     cfg = config if config is not None else SolverConfig()
     if not isinstance(cfg, SolverConfig):
@@ -366,18 +368,21 @@ def rr_for_target_c(f, p0, target_c, config: SolverConfig | None = None) -> floa
     def c_at(rr: float) -> float:
         return _measure_kernel(f, p0, rr * p0, rr)[4]
 
+    tol = cfg.abs_tolerance
     c_hi = c_at(hi)
-    if target > c_hi:
+    if target > c_hi + tol:
         raise TargetUnreachableError(
             f"target_c = {target:.12g} is unreachable: the achievable c-index "
             f"range is [0.5, {c_hi:.12g}] for f = {f:g}, p0 = {p0:g} with rr "
             f"in [1, {hi:.6g}]"
         )
+    if target > c_hi:
+        # e.g. the c of an rr one ulp below hi, which rounds above c(hi)
+        return hi
     c_lo = c_at(lo)
     if target <= c_lo:
         return lo
 
-    tol = cfg.abs_tolerance
     for _ in range(cfg.max_iterations):
         mid = 0.5 * (lo + hi)
         c_mid = c_at(mid)

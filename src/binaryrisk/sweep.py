@@ -10,8 +10,10 @@ that as the alternative labeling of the rr axis.
 Contours come from marching squares with linear interpolation along cell
 edges. The field is strictly monotone in both directions wherever rr > 1,
 so the only ambiguity, the two saddle cases, is settled by the sign of
-the cell-centre mean. Cells touching a masked corner emit nothing: masked
-regions sit outside every level.
+the cell-centre mean. Cells touching a masked or non-finite corner emit
+nothing: such regions sit outside every level, so no vertex is NaN or
+infinite. Each level is processed as whole arrays of cells; only the
+chaining of segments into polylines walks them one at a time.
 
 The SVG writer is deliberately small and fully deterministic: the same
 grids produce the same bytes, with no timestamps, random ids, or external
@@ -186,77 +188,145 @@ def evaluate_grid(spec: GridSpec, prevalence: float) -> MeasureGrid:
 # two cells sharing an edge compute bitwise-identical crossing points.
 _EDGE_B, _EDGE_R, _EDGE_T, _EDGE_L = 0, 1, 2, 3
 
+# (row, column) offsets of each edge's two ends from the cell's
+# bottom-left corner: (row_a, col_a, row_b, col_b).
+_EDGE_ENDS = np.array(
+    [
+        (0, 0, 0, 1),  # bottom
+        (0, 1, 1, 1),  # right
+        (1, 0, 1, 1),  # top
+        (0, 0, 1, 0),  # left
+    ],
+    dtype=np.intp,
+)
+
+# Segments (edge_a, edge_b) per cell, indexed by case + 16 * split, where
+# split marks a saddle (case 5 or 10) whose centre mean lies above the
+# level. Unused slots hold -1.
 _SEGMENT_TABLE: dict[int, list[tuple[int, int]]] = {
-    0: [],
     1: [(_EDGE_L, _EDGE_B)],
     2: [(_EDGE_B, _EDGE_R)],
     3: [(_EDGE_L, _EDGE_R)],
     4: [(_EDGE_R, _EDGE_T)],
+    5: [(_EDGE_L, _EDGE_B), (_EDGE_R, _EDGE_T)],
     6: [(_EDGE_B, _EDGE_T)],
     7: [(_EDGE_L, _EDGE_T)],
     8: [(_EDGE_L, _EDGE_T)],
     9: [(_EDGE_B, _EDGE_T)],
+    10: [(_EDGE_B, _EDGE_R), (_EDGE_T, _EDGE_L)],
     11: [(_EDGE_R, _EDGE_T)],
     12: [(_EDGE_L, _EDGE_R)],
     13: [(_EDGE_B, _EDGE_R)],
     14: [(_EDGE_L, _EDGE_B)],
-    15: [],
+    16 + 5: [(_EDGE_B, _EDGE_R), (_EDGE_T, _EDGE_L)],
+    16 + 10: [(_EDGE_L, _EDGE_B), (_EDGE_R, _EDGE_T)],
 }
+_SEGMENTS = np.full((32, 2, 2), -1, dtype=np.intp)
+for _key, _pairs in _SEGMENT_TABLE.items():
+    _SEGMENTS[_key, : len(_pairs)] = _pairs
+del _key, _pairs
 
 
-def _edge_point(level, i, j, edge, p0_axis, rr_axis, values):
-    if edge == _EDGE_B:
-        (ia, ja), (ib, jb) = (i, j), (i, j + 1)
-    elif edge == _EDGE_T:
-        (ia, ja), (ib, jb) = (i + 1, j), (i + 1, j + 1)
-    elif edge == _EDGE_L:
-        (ia, ja), (ib, jb) = (i, j), (i + 1, j)
-    else:
-        (ia, ja), (ib, jb) = (i, j + 1), (i + 1, j + 1)
-    va = float(values[ia, ja])
-    vb = float(values[ib, jb])
-    t = (level - va) / (vb - va)
-    if t < 0.0:
-        t = 0.0
-    elif t > 1.0:
-        t = 1.0
-    x = float(p0_axis[ja]) + t * (float(p0_axis[jb]) - float(p0_axis[ja]))
-    y = float(rr_axis[ia]) + t * (float(rr_axis[ib]) - float(rr_axis[ia]))
-    return (x, y)
+def _crossing_segments(grid: MeasureGrid, level: float):
+    """Endpoint coordinates ``(x, y)``, each shaped (segments, 2).
+
+    Segments come in row-major cell order, and in table order within a
+    cell; segments whose two endpoints coincide are dropped.
+    """
+    values = grid.c_values
+    valid = ~grid.mask & np.isfinite(values)
+    above = ((values > level) & valid).view(np.uint8)
+    case = (
+        above[:-1, :-1]
+        | (above[:-1, 1:] << 1)
+        | (above[1:, 1:] << 2)
+        | (above[1:, :-1] << 3)
+    )
+    cell_ok = valid[:-1, :-1] & valid[:-1, 1:] & valid[1:, 1:] & valid[1:, :-1]
+    rows, cols = np.nonzero(cell_ok & (case != 0) & (case != 15))
+    case = case[rows, cols]
+    centre = 0.25 * (
+        values[rows, cols]
+        + values[rows, cols + 1]
+        + values[rows + 1, cols + 1]
+        + values[rows + 1, cols]
+    )
+    split = ((case == 5) | (case == 10)) & (centre > level)
+    pairs = _SEGMENTS[case + 16 * split]
+    cell, slot = np.nonzero(pairs[:, :, 0] >= 0)
+    ends = _EDGE_ENDS[pairs[cell, slot]]
+    row = rows[cell, None]
+    col = cols[cell, None]
+    ia, ja = row + ends[:, :, 0], col + ends[:, :, 1]
+    ib, jb = row + ends[:, :, 2], col + ends[:, :, 3]
+    va = values[ia, ja]
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        t = (level - va) / (values[ib, jb] - va)
+    # np.clip could turn a -0.0 into 0.0; the comparisons keep it.
+    t = np.where(t < 0.0, 0.0, np.where(t > 1.0, 1.0, t))
+    p0_axis, rr_axis = grid.p0_axis, grid.rr_axis
+    x = p0_axis[ja] + t * (p0_axis[jb] - p0_axis[ja])
+    y = rr_axis[ia] + t * (rr_axis[ib] - rr_axis[ia])
+    distinct = (x[:, 0] != x[:, 1]) | (y[:, 0] != y[:, 1])
+    return x[distinct], y[distinct]
 
 
-def _stitch(segments):
-    """Join segments sharing endpoints into polylines, deterministically."""
-    adjacency: dict[tuple[float, float], list] = {}
-    for k, (a, b) in enumerate(segments):
-        adjacency.setdefault(a, []).append((k, b))
-        adjacency.setdefault(b, []).append((k, a))
-    used = [False] * len(segments)
+def _stitch(x, y) -> list[list[tuple[float, float]]]:
+    """Join segments sharing endpoints into polylines, deterministically.
 
-    def walk(start):
-        path = [start]
-        current = start
-        while True:
-            step = None
-            for k, other in adjacency[current]:
-                if not used[k]:
-                    used[k] = True
-                    step = other
-                    break
-            if step is None:
-                return path
-            path.append(step)
-            current = step
+    Endpoint ``e`` of segment ``e // 2`` sits at ``(x.flat[e], y.flat[e])``.
+    Equal coordinates make one node; nodes are numbered in ascending (x, y)
+    order. Chains start at odd-degree nodes first, then at any node with a
+    segment left, each in ascending order, and every step takes the
+    current node's first unused segment.
+    """
+    xs, ys = x.ravel(), y.ravel()
+    if xs.size == 0:
+        return []
+    # a stable sort: each node's endpoints stay in segment order
+    order = np.lexsort((ys, xs))
+    sx, sy = xs[order], ys[order]
+    first = np.empty(order.size, dtype=bool)
+    first[0] = True
+    first[1:] = (sx[1:] != sx[:-1]) | (sy[1:] != sy[:-1])
+    node_of = np.empty(order.size, dtype=np.intp)
+    node_of[order] = np.cumsum(first) - 1
+    starts = np.flatnonzero(first)
+    stops = np.append(starts[1:], order.size)
+    odd = np.flatnonzero((stops - starts) % 2 == 1)
+
+    points = list(zip(xs.tolist(), ys.tolist()))
+    incidence = order.tolist()
+    node_of = node_of.tolist()
+    starts = starts.tolist()
+    stops = stops.tolist()
+    cursor = list(starts)
+    used = bytearray(xs.size // 2)
+
+    def next_endpoint(node: int) -> int:
+        """The node's first endpoint on an unused segment, or -1."""
+        k, stop = cursor[node], stops[node]
+        while k < stop and used[incidence[k] >> 1]:
+            k += 1
+        cursor[node] = k
+        return incidence[k] if k < stop else -1
 
     polylines = []
-    # open chains first, anchored at odd-degree endpoints, then cycles
-    odd = sorted(pt for pt, nb in adjacency.items() if len(nb) % 2 == 1)
-    for start in odd:
-        while any(not used[k] for k, _ in adjacency[start]):
-            polylines.append(walk(start))
-    for start in sorted(adjacency):
-        while any(not used[k] for k, _ in adjacency[start]):
-            polylines.append(walk(start))
+    # open chains first, anchored at odd-degree nodes, then cycles
+    for start in odd.tolist() + list(range(len(starts))):
+        endpoint = next_endpoint(start)
+        while endpoint >= 0:
+            # Vertices are endpoint tuples, not one tuple per node: equal
+            # points can differ in the sign of a zero. A chain opens with its
+            # node's first endpoint; each step adds the endpoint it reaches.
+            path = [points[incidence[starts[start]]]]
+            while endpoint >= 0:
+                used[endpoint >> 1] = 1
+                other = endpoint ^ 1
+                path.append(points[other])
+                endpoint = next_endpoint(node_of[other])
+            polylines.append(path)
+            endpoint = next_endpoint(start)
     return polylines
 
 
@@ -264,58 +334,14 @@ def extract_contours(grid: MeasureGrid, level) -> ContourSet:
     """Polylines where the c-index field crosses ``level``.
 
     Masked cells are treated as outside every level: a cell with any
-    masked corner contributes no segments. A level the field never
-    crosses yields an empty polyline list, not an error.
+    masked or non-finite corner contributes no segments, so every vertex
+    is finite. A level the field never crosses yields an empty polyline
+    list, not an error.
     """
     if not isinstance(grid, MeasureGrid):
         raise InvalidParamsError(f"grid must be a MeasureGrid, got {type(grid).__name__}")
     level = _require_finite(level, "level")
-    values = grid.c_values
-    valid = ~grid.mask
-    above = np.zeros(values.shape, dtype=bool)
-    above[valid] = values[valid] > level
-
-    cell_ok = valid[:-1, :-1] & valid[:-1, 1:] & valid[1:, 1:] & valid[1:, :-1]
-    index = (
-        above[:-1, :-1].astype(np.uint8)
-        | (above[:-1, 1:].astype(np.uint8) << 1)
-        | (above[1:, 1:].astype(np.uint8) << 2)
-        | (above[1:, :-1].astype(np.uint8) << 3)
-    )
-    crossing = cell_ok & (index != 0) & (index != 15)
-
-    segments = []
-    for i, j in np.argwhere(crossing):
-        i, j = int(i), int(j)
-        case = int(index[i, j])
-        if case in (5, 10):
-            centre = 0.25 * (
-                float(values[i, j])
-                + float(values[i, j + 1])
-                + float(values[i + 1, j + 1])
-                + float(values[i + 1, j])
-            )
-            if case == 5:
-                pairs = (
-                    [(_EDGE_B, _EDGE_R), (_EDGE_T, _EDGE_L)]
-                    if centre > level
-                    else [(_EDGE_L, _EDGE_B), (_EDGE_R, _EDGE_T)]
-                )
-            else:
-                pairs = (
-                    [(_EDGE_L, _EDGE_B), (_EDGE_R, _EDGE_T)]
-                    if centre > level
-                    else [(_EDGE_B, _EDGE_R), (_EDGE_T, _EDGE_L)]
-                )
-        else:
-            pairs = _SEGMENT_TABLE[case]
-        for edge_a, edge_b in pairs:
-            point_a = _edge_point(level, i, j, edge_a, grid.p0_axis, grid.rr_axis, values)
-            point_b = _edge_point(level, i, j, edge_b, grid.p0_axis, grid.rr_axis, values)
-            if point_a != point_b:
-                segments.append((point_a, point_b))
-
-    polylines = tuple(tuple(path) for path in _stitch(segments))
+    polylines = tuple(tuple(path) for path in _stitch(*_crossing_segments(grid, level)))
     return ContourSet(level=level, polylines=polylines)
 
 
@@ -420,9 +446,16 @@ def _panel_svg(grid: MeasureGrid, spec: GridSpec, offset_x: float) -> list[str]:
         if not contour.polylines:
             continue
         parts.append(f'<g class="level" data-level="{_tick_label(level)}">')
+        # to_x and to_y over every vertex of the level at once
+        xy = np.array([point for polyline in contour.polylines for point in polyline])
+        px = (x0 + (xy[:, 0] - spec.p0_min) / p0_span * _PANEL_WIDTH).tolist()
+        py = (y0 + _PANEL_HEIGHT - (xy[:, 1] - spec.rr_min) / rr_span * _PANEL_HEIGHT).tolist()
+        vertices = [f"{x:.2f} {y:.2f}" for x, y in zip(px, py)]
+        start = 0
         for polyline in contour.polylines:
-            points = " L ".join(f"{_px(to_x(x))} {_px(to_y(y))}" for x, y in polyline)
-            parts.append(f'<path class="contour" d="M {points}"/>')
+            stop = start + len(polyline)
+            parts.append(f'<path class="contour" d="M {" L ".join(vertices[start:stop])}"/>')
+            start = stop
         longest = max(contour.polylines, key=len)
         label_x, label_y = longest[len(longest) // 2]
         parts.append(

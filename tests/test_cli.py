@@ -144,6 +144,17 @@ class TestSolve:
         assert results["rr"] == pytest.approx(1.5, abs=1e-8)
         assert results["verification"]["c_index"] == pytest.approx(C_INDEX_02, abs=1e-10)
 
+    def test_target_c_one_ulp_above_bracket_end(self, run_cli):
+        # c(f=0.2, p0=0.2, rr=4.999999999999999); c at the bracket end rr = 5
+        # is one ulp lower, so the target lies within tolerance of it
+        code, out, _ = run_cli(
+            "solve", "--f", "0.2", "--p0", "0.2", "--target-c", "0.7777777777777778"
+        )
+        assert code == 0
+        results = json.loads(out)["results"]
+        assert results["rr"] == 5.0
+        assert results["verification"]["c_index"] == pytest.approx(0.7777777777777778, abs=1e-10)
+
     def test_unreachable_target_exits_2(self, run_cli):
         code, out, err = run_cli("solve", "--f", "0.2", "--p0", "0.1", "--target-c", "0.99")
         assert code == 2

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from binaryrisk import (
@@ -381,6 +381,8 @@ class TestRrForTargetC:
         st.floats(min_value=0.05, max_value=0.5, allow_nan=False),
         st.floats(min_value=1.000001, max_value=5.0, allow_nan=False),
     )
+    # c at this rr rounds one ulp above c at the bracket end rr = 5
+    @example(f=0.2, p0=0.2, rr=4.999999999999999)
     def test_round_trip_property(self, f, p0, rr):
         if rr * p0 > 1.0:
             rr = max_feasible_rr(p0)

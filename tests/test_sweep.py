@@ -2,12 +2,14 @@ import csv
 import io
 import json
 import math
+import struct
 import xml.etree.ElementTree as ET
 
 import numpy as np
 import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import array_shapes, arrays
 
 from binaryrisk import (
     ContourSet,
@@ -263,7 +265,7 @@ class TestExtractContours:
         assert len(contour.polylines[0]) > 10
 
 
-def _synthetic_grid(values):
+def _synthetic_grid(values, mask=None):
     values = np.asarray(values, dtype=float)
     rows, cols = values.shape
     return MeasureGrid(
@@ -272,7 +274,7 @@ def _synthetic_grid(values):
         rr_axis=np.linspace(1.0, 2.0, rows),
         c_values=values,
         par_axis=np.zeros(rows),
-        mask=np.zeros((rows, cols), dtype=bool),
+        mask=np.zeros((rows, cols), dtype=bool) if mask is None else mask,
     )
 
 
@@ -294,6 +296,234 @@ class TestSaddleCells:
             assert sum(len(p) - 1 for p in contour.polylines) == 2
             for x, y in _vertices(contour):
                 assert abs(bilinear_c(grid, x, y) - level) <= 1e-12
+
+
+# The per-cell marching squares that extract_contours replaced, kept as the
+# reference its output must equal bit for bit on finite grids.
+_REF_B, _REF_R, _REF_T, _REF_L = 0, 1, 2, 3
+
+_REFERENCE_SEGMENT_TABLE = {
+    0: [],
+    1: [(_REF_L, _REF_B)],
+    2: [(_REF_B, _REF_R)],
+    3: [(_REF_L, _REF_R)],
+    4: [(_REF_R, _REF_T)],
+    6: [(_REF_B, _REF_T)],
+    7: [(_REF_L, _REF_T)],
+    8: [(_REF_L, _REF_T)],
+    9: [(_REF_B, _REF_T)],
+    11: [(_REF_R, _REF_T)],
+    12: [(_REF_L, _REF_R)],
+    13: [(_REF_B, _REF_R)],
+    14: [(_REF_L, _REF_B)],
+    15: [],
+}
+
+
+def _reference_edge_point(level, i, j, edge, p0_axis, rr_axis, values):
+    if edge == _REF_B:
+        (ia, ja), (ib, jb) = (i, j), (i, j + 1)
+    elif edge == _REF_T:
+        (ia, ja), (ib, jb) = (i + 1, j), (i + 1, j + 1)
+    elif edge == _REF_L:
+        (ia, ja), (ib, jb) = (i, j), (i + 1, j)
+    else:
+        (ia, ja), (ib, jb) = (i, j + 1), (i + 1, j + 1)
+    va = float(values[ia, ja])
+    vb = float(values[ib, jb])
+    t = (level - va) / (vb - va)
+    if t < 0.0:
+        t = 0.0
+    elif t > 1.0:
+        t = 1.0
+    x = float(p0_axis[ja]) + t * (float(p0_axis[jb]) - float(p0_axis[ja]))
+    y = float(rr_axis[ia]) + t * (float(rr_axis[ib]) - float(rr_axis[ia]))
+    return (x, y)
+
+
+def _reference_stitch(segments):
+    adjacency = {}
+    for k, (a, b) in enumerate(segments):
+        adjacency.setdefault(a, []).append((k, b))
+        adjacency.setdefault(b, []).append((k, a))
+    used = [False] * len(segments)
+
+    def walk(start):
+        path = [start]
+        current = start
+        while True:
+            step = None
+            for k, other in adjacency[current]:
+                if not used[k]:
+                    used[k] = True
+                    step = other
+                    break
+            if step is None:
+                return path
+            path.append(step)
+            current = step
+
+    polylines = []
+    odd = sorted(pt for pt, nb in adjacency.items() if len(nb) % 2 == 1)
+    for start in odd:
+        while any(not used[k] for k, _ in adjacency[start]):
+            polylines.append(walk(start))
+    for start in sorted(adjacency):
+        while any(not used[k] for k, _ in adjacency[start]):
+            polylines.append(walk(start))
+    return polylines
+
+
+def _reference_extract_contours(grid, level):
+    level = float(level)
+    values = grid.c_values
+    valid = ~grid.mask
+    above = np.zeros(values.shape, dtype=bool)
+    above[valid] = values[valid] > level
+
+    cell_ok = valid[:-1, :-1] & valid[:-1, 1:] & valid[1:, 1:] & valid[1:, :-1]
+    index = (
+        above[:-1, :-1].astype(np.uint8)
+        | (above[:-1, 1:].astype(np.uint8) << 1)
+        | (above[1:, 1:].astype(np.uint8) << 2)
+        | (above[1:, :-1].astype(np.uint8) << 3)
+    )
+    crossing = cell_ok & (index != 0) & (index != 15)
+
+    segments = []
+    for i, j in np.argwhere(crossing):
+        i, j = int(i), int(j)
+        case = int(index[i, j])
+        if case in (5, 10):
+            centre = 0.25 * (
+                float(values[i, j])
+                + float(values[i, j + 1])
+                + float(values[i + 1, j + 1])
+                + float(values[i + 1, j])
+            )
+            if case == 5:
+                pairs = (
+                    [(_REF_B, _REF_R), (_REF_T, _REF_L)]
+                    if centre > level
+                    else [(_REF_L, _REF_B), (_REF_R, _REF_T)]
+                )
+            else:
+                pairs = (
+                    [(_REF_L, _REF_B), (_REF_R, _REF_T)]
+                    if centre > level
+                    else [(_REF_B, _REF_R), (_REF_T, _REF_L)]
+                )
+        else:
+            pairs = _REFERENCE_SEGMENT_TABLE[case]
+        for edge_a, edge_b in pairs:
+            point_a = _reference_edge_point(level, i, j, edge_a, grid.p0_axis, grid.rr_axis, values)
+            point_b = _reference_edge_point(level, i, j, edge_b, grid.p0_axis, grid.rr_axis, values)
+            if point_a != point_b:
+                segments.append((point_a, point_b))
+
+    polylines = tuple(tuple(path) for path in _reference_stitch(segments))
+    return ContourSet(level=level, polylines=polylines)
+
+
+def _packed(contour_set):
+    """The level and every polyline's coordinates as raw IEEE-754 bytes."""
+    return struct.pack("<d", contour_set.level), [
+        struct.pack(f"<{2 * len(p)}d", *(v for point in p for v in point))
+        for p in contour_set.polylines
+    ]
+
+
+def _assert_same_contours(grid, level):
+    contour = extract_contours(grid, level)
+    assert _packed(contour) == _packed(_reference_extract_contours(grid, level))
+    return contour
+
+
+def _node_degrees(contour_set):
+    """How often each vertex occurs as a segment end across all polylines."""
+    degree = {}
+    for polyline in contour_set.polylines:
+        for k, point in enumerate(polyline):
+            ends = (k > 0) + (k < len(polyline) - 1)
+            degree[point] = degree.get(point, 0) + ends
+    return degree
+
+
+@st.composite
+def _small_grids(draw):
+    """Values from a short list that holds the level 0.5, and a mask."""
+    shape = draw(array_shapes(min_dims=2, max_dims=2, min_side=2, max_side=5))
+    values = draw(arrays(np.float64, shape, elements=st.sampled_from([0.0, 0.25, 0.5, 0.75, 1.0])))
+    return values, draw(arrays(np.bool_, shape))
+
+
+class TestContourByteIdentity:
+    def test_default_spec_levels(self, default_spec, default_grids):
+        for grid in default_grids:
+            for level in default_spec.contour_levels:
+                _assert_same_contours(grid, level)
+
+    def test_masked_cells(self, wide_spec, wide_grid):
+        assert wide_grid.mask.any()
+        for level in wide_spec.contour_levels:
+            assert _assert_same_contours(wide_grid, level).polylines
+
+    def test_levels_equal_to_grid_values(self, default_grids, wide_grid):
+        rng = np.random.Generator(np.random.PCG64(4))
+        for grid in (*default_grids, wide_grid):
+            finite = grid.c_values[~grid.mask]
+            for level in rng.choice(finite, size=10):
+                _assert_same_contours(grid, level)
+
+    def test_merged_nodes_of_degree_above_two(self):
+        # At level 0.5 the centre node equals the level and its upper and
+        # lower neighbours lie above it: all four cells cross on the centre
+        # (t = 1 below it, t = 0 above) and their segments meet there.
+        grid = _synthetic_grid([[0.0, 1.0, 0.0], [0.0, 0.5, 0.0], [0.0, 1.0, 0.0]])
+        for level in (0.0, 0.25, 0.75):
+            _assert_same_contours(grid, level)
+        contour = _assert_same_contours(grid, 0.5)
+        assert max(_node_degrees(contour).values()) == 4
+
+    @pytest.mark.parametrize("corners", [[[1.0, 0.0], [0.0, 1.0]], [[0.0, 1.0], [1.0, 0.0]]])
+    @pytest.mark.parametrize("level", [0.4, 0.5, 0.6])
+    def test_saddle_orientations(self, corners, level):
+        # at level 0.5 the centre mean equals the level and is not above it
+        assert len(_assert_same_contours(_synthetic_grid(corners), level).polylines) == 2
+
+    @given(_small_grids())
+    def test_small_grids_property(self, drawn):
+        values, mask = drawn
+        _assert_same_contours(_synthetic_grid(values), 0.5)
+        # finite values under the mask: only the mask keeps those cells out
+        _assert_same_contours(_synthetic_grid(values, mask), 0.5)
+
+
+class TestNonFiniteCorners:
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_cell_with_non_finite_corner_is_skipped(self, bad):
+        values = np.add.outer(np.linspace(0.0, 1.0, 4), np.linspace(0.0, 1.0, 4))
+        values[1, 2] = bad
+        contour = extract_contours(_synthetic_grid(values), 1.0)
+        assert contour.polylines
+        assert all(math.isfinite(v) for point in _vertices(contour) for v in point)
+        assert contour == extract_contours(_synthetic_grid(values, ~np.isfinite(values)), 1.0)
+
+    def test_svg_has_no_nan(self):
+        values = np.add.outer(np.linspace(0.0, 1.0, 4), np.linspace(0.0, 1.0, 4))
+        values[1, 2] = math.nan
+        spec = GridSpec(
+            prevalences=(0.2,),
+            p0_min=0.1,
+            p0_max=0.2,
+            rr_min=1.0,
+            rr_max=2.0,
+            resolution=4,
+            contour_levels=(0.5, 1.0, 1.5),
+        )
+        svg = render_svg([_synthetic_grid(values)], spec)
+        assert 'class="contour"' in svg
+        assert "nan" not in svg
 
 
 class TestRenderSvg:
