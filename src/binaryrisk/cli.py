@@ -17,12 +17,13 @@ import argparse
 import csv
 import io
 import json
+import math
 import sys
+from dataclasses import asdict
 
 from .cohort import SimulationSpec, empirical_measures, plugin_rates, simulate_cohort
 from .errors import BinaryRiskError, DegenerateScenarioError, InvalidParamsError
 from .measures import (
-    DerivedMeasures,
     PopulationParams,
     SolverConfig,
     derive_measures,
@@ -41,23 +42,23 @@ EXIT_INPUT = 2
 EXIT_IO = 3
 
 
-def _measures_dict(measures: DerivedMeasures) -> dict:
+def _command_flags(args) -> dict:
+    """The parsed flags of the command itself, without the shared --format/--out."""
     return {
-        "p1": measures.p1,
-        "f_cases": measures.f_cases,
-        "f_controls": measures.f_controls,
-        "par": measures.par,
-        "c_index": measures.c_index,
+        key: value
+        for key, value in vars(args).items()
+        if key not in ("command", "handler", "format", "out")
     }
 
 
-def _emit(command: str, inputs: dict, results: dict, warnings=None) -> None:
+def _emit(args, results: dict, warnings=()) -> None:
     envelope = {
         "schema_version": SCHEMA_VERSION,
-        "command": command,
-        "inputs": inputs,
+        "command": args.command,
+        # the shared flags close every command's inputs
+        "inputs": {**_command_flags(args), "format": args.format, "out": args.out},
         "results": results,
-        "warnings": list(warnings or []),
+        "warnings": list(warnings),
     }
     # encode in full before writing, so a failure leaves stdout empty
     sys.stdout.write(json.dumps(envelope, indent=2, allow_nan=False) + "\n")
@@ -88,55 +89,44 @@ def _write_text(path: str, text: str) -> None:
         handle.write(text)
 
 
-def _write_record_payload(args, record: dict) -> list[str]:
-    """Write the flat payload of compute/solve/simulate when --out is given."""
+def _write_record_payload(args, record: dict) -> dict:
+    """Write the flat payload of compute/solve/simulate when --out is given.
+
+    Returns the results record, with the written file listed under
+    ``files`` when there is one.
+    """
     if args.out is None:
         if args.format == "csv":
             raise InvalidParamsError(
                 "--format csv requires --out PATH; stdout always carries the JSON envelope"
             )
-        return []
+        return record
     if args.format == "csv":
         text = _record_csv(record)
     else:
         text = json.dumps(record, indent=2, allow_nan=False) + "\n"
     _write_text(args.out, text)
-    return [args.out]
+    return {**record, "files": [args.out]}
 
 
 def _cmd_compute(args) -> int:
-    inputs = {
-        "f": args.f,
-        "p0": args.p0,
-        "rr": args.rr,
-        "format": args.format,
-        "out": args.out,
-    }
     measures = derive_measures(PopulationParams(f=args.f, p0=args.p0, rr=args.rr))
-    results = _measures_dict(measures)
-    files = _write_record_payload(args, results)
-    if files:
-        results = {**results, "files": files}
-    _emit("compute", inputs, results)
+    _emit(args, _write_record_payload(args, asdict(measures)))
     return EXIT_OK
 
 
 def _cmd_solve(args) -> int:
-    inputs = {
-        "f": args.f,
-        "p0": args.p0,
-        "target_par": args.target_par,
-        "target_c": args.target_c,
-        "tolerance": args.tolerance,
-        "format": args.format,
-        "out": args.out,
-    }
     has_par = args.target_par is not None
     has_c = args.target_c is not None
     if has_par == has_c:
         raise InvalidParamsError("exactly one of --target-par or --target-c is required")
     warnings = []
     if has_par:
+        # unused here, but still echoed in the envelope, which admits no NaN/inf
+        for name in ("p0", "tolerance"):
+            value = getattr(args, name)
+            if value is not None and not math.isfinite(value):
+                raise InvalidParamsError(f"{name} must be finite, got {value}")
         if args.p0 is not None:
             warnings.append("p0 is not used when solving for a target PAR")
         if args.tolerance is not None:
@@ -154,23 +144,11 @@ def _cmd_solve(args) -> int:
         forward = derive_measures(PopulationParams(f=args.f, p0=args.p0, rr=rr))
         verification = {"c_index": forward.c_index}
     results = {"rr": rr, "verification": verification}
-    files = _write_record_payload(args, results)
-    if files:
-        results = {**results, "files": files}
-    _emit("solve", inputs, results, warnings)
+    _emit(args, _write_record_payload(args, results), warnings)
     return EXIT_OK
 
 
 def _cmd_simulate(args) -> int:
-    inputs = {
-        "f": args.f,
-        "p0": args.p0,
-        "rr": args.rr,
-        "n": args.n,
-        "seed": args.seed,
-        "format": args.format,
-        "out": args.out,
-    }
     params = PopulationParams(f=args.f, p0=args.p0, rr=args.rr)
     spec = SimulationSpec(params=params, n_subjects=args.n, seed=args.seed)
     counts = simulate_cohort(spec)
@@ -181,68 +159,34 @@ def _cmd_simulate(args) -> int:
             f"{exc}; increase --n until every margin of the table is populated"
         ) from exc
     f_hat, p0_hat, p1_hat = plugin_rates(counts)
-    closed = derive_measures(params)
-    empirical_payload = {"f": f_hat, "p0": p0_hat, "rr": p1_hat / p0_hat}
-    empirical_payload.update(_measures_dict(empirical))
-    closed_payload = _measures_dict(closed)
+    empirical_payload = {"f": f_hat, "p0": p0_hat, "rr": p1_hat / p0_hat, **asdict(empirical)}
+    closed_payload = asdict(derive_measures(params))
     results = {
-        "counts": {
-            "n_exposed_case": counts.n_exposed_case,
-            "n_exposed_control": counts.n_exposed_control,
-            "n_unexposed_case": counts.n_unexposed_case,
-            "n_unexposed_control": counts.n_unexposed_control,
-        },
+        "counts": asdict(counts),
         "empirical": empirical_payload,
         "closed_form": closed_payload,
         "difference": {
             key: empirical_payload[key] - closed_payload[key] for key in closed_payload
         },
     }
-    files = _write_record_payload(args, results)
-    if files:
-        results = {**results, "files": files}
-    _emit("simulate", inputs, results)
+    _emit(args, _write_record_payload(args, results))
     return EXIT_OK
 
 
-def _grid_inputs(args) -> dict:
-    return {
-        "prevalences": list(args.prevalences) if args.prevalences is not None else None,
-        "p0_min": args.p0_min,
-        "p0_max": args.p0_max,
-        "rr_min": args.rr_min,
-        "rr_max": args.rr_max,
-        "resolution": args.resolution,
-        "levels": list(args.levels) if args.levels is not None else None,
-        "format": args.format,
-        "out": args.out,
-    }
-
-
-def _grid_spec_from_args(args) -> GridSpec:
-    kwargs = {}
-    if args.prevalences is not None:
-        kwargs["prevalences"] = args.prevalences
-    if args.p0_min is not None:
-        kwargs["p0_min"] = args.p0_min
-    if args.p0_max is not None:
-        kwargs["p0_max"] = args.p0_max
-    if args.rr_min is not None:
-        kwargs["rr_min"] = args.rr_min
-    if args.rr_max is not None:
-        kwargs["rr_max"] = args.rr_max
-    if args.resolution is not None:
-        kwargs["resolution"] = args.resolution
-    if args.levels is not None:
-        kwargs["contour_levels"] = args.levels
-    return GridSpec(**kwargs)
-
-
-def _panel_summaries(grids) -> list[dict]:
-    summaries = []
+def _grid_command(args, default_out: str, render, warnings=()) -> int:
+    """Evaluate the panels of sweep/plot, write ``render(grids, spec)``, emit the summaries."""
+    spec = GridSpec(**{
+        "contour_levels" if key == "levels" else key: value
+        for key, value in _command_flags(args).items()
+        if value is not None
+    })
+    grids = [evaluate_grid(spec, prevalence) for prevalence in spec.prevalences]
+    out = default_out if args.out is None else args.out
+    _write_text(out, render(grids, spec))
+    panels = []
     for grid in grids:
         unmasked = grid.c_values[~grid.mask]
-        summaries.append(
+        panels.append(
             {
                 "prevalence": grid.prevalence,
                 "c_min": float(unmasked.min()) if unmasked.size else None,
@@ -250,35 +194,21 @@ def _panel_summaries(grids) -> list[dict]:
                 "masked_cells": int(grid.mask.sum()),
             }
         )
-    return summaries
+    _emit(args, {"files": [out], "panels": panels}, warnings)
+    return EXIT_OK
 
 
 def _cmd_sweep(args) -> int:
-    inputs = _grid_inputs(args)
-    spec = _grid_spec_from_args(args)
-    grids = [evaluate_grid(spec, prevalence) for prevalence in spec.prevalences]
-    out = args.out
-    if out is None:
-        out = "grids.csv" if args.format == "csv" else "grids.json"
-    text = grids_to_csv(grids) if args.format == "csv" else grids_to_json(grids, spec)
-    _write_text(out, text)
-    results = {"files": [out], "panels": _panel_summaries(grids)}
-    _emit("sweep", inputs, results)
-    return EXIT_OK
+    if args.format == "csv":
+        return _grid_command(args, "grids.csv", lambda grids, spec: grids_to_csv(grids))
+    return _grid_command(args, "grids.json", grids_to_json)
 
 
 def _cmd_plot(args) -> int:
-    inputs = _grid_inputs(args)
     warnings = []
     if args.format == "csv":
         warnings.append("the plot payload is SVG; --format is ignored")
-    spec = _grid_spec_from_args(args)
-    grids = [evaluate_grid(spec, prevalence) for prevalence in spec.prevalences]
-    out = args.out if args.out is not None else "figure.svg"
-    _write_text(out, render_svg(grids, spec))
-    results = {"files": [out], "panels": _panel_summaries(grids)}
-    _emit("plot", inputs, results, warnings)
-    return EXIT_OK
+    return _grid_command(args, "figure.svg", render_svg, warnings)
 
 
 def _float_tuple(text: str) -> tuple[float, ...]:
@@ -286,6 +216,9 @@ def _float_tuple(text: str) -> tuple[float, ...]:
     if not values:
         raise argparse.ArgumentTypeError("expected a comma-separated list of numbers")
     return values
+
+
+F_HELP = "risk factor prevalence, proportion in (0,1)"
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -309,29 +242,27 @@ def build_parser() -> argparse.ArgumentParser:
 
     sub = parser.add_subparsers(dest="command", required=True, metavar="COMMAND")
 
-    compute = sub.add_parser(
-        "compute", parents=[common], help="derive all measures for one scenario"
-    )
-    compute.add_argument(
-        "--f", type=float, required=True, help="risk factor prevalence, proportion in (0,1)"
-    )
-    compute.add_argument(
+    scenario = argparse.ArgumentParser(add_help=False)
+    scenario.add_argument("--f", type=float, required=True, help=F_HELP)
+    scenario.add_argument(
         "--p0",
         type=float,
         required=True,
         help="incidence among the unexposed, proportion in (0,1)",
     )
-    compute.add_argument(
+    scenario.add_argument(
         "--rr", type=float, required=True, help="relative risk; rr*p0 must not exceed 1"
+    )
+
+    compute = sub.add_parser(
+        "compute", parents=[common, scenario], help="derive all measures for one scenario"
     )
     compute.set_defaults(handler=_cmd_compute)
 
     solve = sub.add_parser(
         "solve", parents=[common], help="invert PAR or the c-index for the relative risk"
     )
-    solve.add_argument(
-        "--f", type=float, required=True, help="risk factor prevalence, proportion in (0,1)"
-    )
+    solve.add_argument("--f", type=float, required=True, help=F_HELP)
     solve.add_argument(
         "--p0", type=float, default=None, help="incidence among the unexposed; required with --target-c"
     )
@@ -351,20 +282,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     simulate = sub.add_parser(
         "simulate",
-        parents=[common],
+        parents=[common, scenario],
         help="simulate a seeded cohort and compare it with the closed form",
-    )
-    simulate.add_argument(
-        "--f", type=float, required=True, help="risk factor prevalence, proportion in (0,1)"
-    )
-    simulate.add_argument(
-        "--p0",
-        type=float,
-        required=True,
-        help="incidence among the unexposed, proportion in (0,1)",
-    )
-    simulate.add_argument(
-        "--rr", type=float, required=True, help="relative risk; rr*p0 must not exceed 1"
     )
     simulate.add_argument("--n", type=int, required=True, help="number of subjects to draw")
     simulate.add_argument(

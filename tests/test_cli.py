@@ -113,11 +113,25 @@ class TestCompute:
         assert out == ""
         assert "--out" in err
 
-    def test_envelope_inputs_reparse_identically(self, run_cli):
-        code, out, _ = run_cli("compute", "--f", "0.2", "--p0", "0.1", "--rr", "1.5")
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("compute", "--f", "0.2", "--p0", "0.1", "--rr", "1.5"),
+            ("solve", "--f", "0.2", "--target-par", "0.1", "--tolerance", "1e-8"),
+            ("solve", "--f", "0.2", "--p0", "0.1", "--target-c", "0.55", "--tolerance", "1e-12"),
+            (
+                "simulate", "--f", "0.2", "--p0", "0.1", "--rr", "1.5", "--n", "20000",
+                "--seed", "7", "--format", "csv", "--out", "cohort.csv",
+            ),
+        ],
+        ids=["compute", "solve-target-par", "solve-target-c", "simulate-csv-out"],
+    )
+    def test_envelope_inputs_reparse_identically(self, argv, run_cli, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        code, out, _ = run_cli(*argv)
         assert code == 0
         inputs = json.loads(out)["inputs"]
-        code2, out2, _ = run_cli(*_argv_from_inputs("compute", inputs))
+        code2, out2, _ = run_cli(*_argv_from_inputs(argv[0], inputs))
         assert code2 == 0
         assert json.loads(out2)["inputs"] == inputs
 
@@ -184,6 +198,16 @@ class TestSolve:
         )
         assert code == 0
         assert json.loads(out)["warnings"]
+
+    @pytest.mark.parametrize(
+        "flag, value", [("--p0", "nan"), ("--p0", "inf"), ("--tolerance", "nan")]
+    )
+    def test_unused_non_finite_flag_exits_2(self, run_cli, flag, value):
+        # the PAR path ignores --p0/--tolerance but echoes them in the envelope
+        code, out, err = run_cli("solve", "--f", "0.2", "--target-par", "0.1", flag, value)
+        assert code == 2
+        assert out == ""
+        assert f"{flag[2:]} must be finite" in err
 
 
 class TestSimulate:
