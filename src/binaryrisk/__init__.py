@@ -19,14 +19,12 @@ from .errors import (
     BinaryRiskError,
     DegenerateScenarioError,
     InvalidParamsError,
-    NoConvergenceError,
     RenderError,
     TargetUnreachableError,
 )
 from .measures import (
     DerivedMeasures,
     PopulationParams,
-    SolverConfig,
     c_index_closed,
     c_index_three_term,
     derive_measures,
@@ -57,11 +55,9 @@ __all__ = [
     "InvalidParamsError",
     "DegenerateScenarioError",
     "TargetUnreachableError",
-    "NoConvergenceError",
     "RenderError",
     "PopulationParams",
     "DerivedMeasures",
-    "SolverConfig",
     "incidence_exposed",
     "prevalence_in_cases",
     "prevalence_in_controls",

@@ -25,7 +25,6 @@ from .cohort import SimulationSpec, empirical_measures, plugin_rates, simulate_c
 from .errors import BinaryRiskError, DegenerateScenarioError, InvalidParamsError
 from .measures import (
     PopulationParams,
-    SolverConfig,
     derive_measures,
     par,
     rr_for_target_c,
@@ -136,11 +135,8 @@ def _cmd_solve(args) -> int:
     else:
         if args.p0 is None:
             raise InvalidParamsError("--target-c requires --p0")
-        if args.tolerance is None:
-            config = SolverConfig()
-        else:
-            config = SolverConfig(abs_tolerance=args.tolerance)
-        rr = rr_for_target_c(args.f, args.p0, args.target_c, config)
+        tolerance = {} if args.tolerance is None else {"tolerance": args.tolerance}
+        rr = rr_for_target_c(args.f, args.p0, args.target_c, **tolerance)
         forward = derive_measures(PopulationParams(f=args.f, p0=args.p0, rr=rr))
         verification = {"c_index": forward.c_index}
     results = {"rr": rr, "verification": verification}

@@ -17,9 +17,5 @@ class TargetUnreachableError(BinaryRiskError, ValueError):
     """An inverse solve asked for a value outside the achievable range."""
 
 
-class NoConvergenceError(BinaryRiskError, RuntimeError):
-    """An iterative solver exhausted its iteration budget."""
-
-
 class RenderError(BinaryRiskError, ValueError):
     """Figure rendering was asked to draw something unrenderable."""

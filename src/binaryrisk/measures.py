@@ -16,7 +16,11 @@ which serves one scenario on floats and a whole grid on numpy arrays.
 Inverse problems (which rr produces a given PAR, which rr produces a given
 c-index) are solved algebraically where possible and by bisection
 otherwise; bisection is sound because the c-index is strictly increasing
-in rr at fixed (f, p0).
+in rr at fixed (f, p0). It needs no iteration budget: it stops once the
+midpoint meets the tolerance in c and in rr, or once the bracket ends are
+adjacent floats, when the end with c nearer the target is returned. So
+every reachable target returns an rr that meets the tolerance in c or lies
+within one ulp of the root.
 
 All computation is plain 64-bit floating point. Scenario validation is
 centralised in :class:`PopulationParams`, so a params object that exists
@@ -32,14 +36,12 @@ from dataclasses import dataclass, field
 from .errors import (
     DegenerateScenarioError,
     InvalidParamsError,
-    NoConvergenceError,
     TargetUnreachableError,
 )
 
 __all__ = [
     "PopulationParams",
     "DerivedMeasures",
-    "SolverConfig",
     "incidence_exposed",
     "prevalence_in_cases",
     "prevalence_in_controls",
@@ -192,34 +194,6 @@ class DerivedMeasures:
     c_index: float
 
 
-@dataclass(frozen=True)
-class SolverConfig:
-    """Tolerances and bounds for the inverse solvers.
-
-    ``rr_upper_bound`` of None means "the largest rr with rr * p0 <= 1",
-    resolved per call once p0 is known.
-    """
-
-    abs_tolerance: float = 1e-10
-    max_iterations: int = 200
-    rr_upper_bound: float | None = None
-
-    def __post_init__(self) -> None:
-        tol = _require_finite(self.abs_tolerance, "abs_tolerance")
-        if tol <= 0.0:
-            raise InvalidParamsError(f"abs_tolerance must be positive, got {tol}")
-        object.__setattr__(self, "abs_tolerance", tol)
-        if not isinstance(self.max_iterations, int) or isinstance(self.max_iterations, bool):
-            raise InvalidParamsError("max_iterations must be an integer")
-        if self.max_iterations < 1:
-            raise InvalidParamsError(
-                f"max_iterations must be at least 1, got {self.max_iterations}"
-            )
-        if self.rr_upper_bound is not None:
-            ub = _require_rr(self.rr_upper_bound)
-            object.__setattr__(self, "rr_upper_bound", ub)
-
-
 def incidence_exposed(p0, rr) -> float:
     """Disease incidence among the exposed, p1 = rr * p0.
 
@@ -301,13 +275,23 @@ def rr_from_par(f, target_par) -> float:
     """Relative risk producing a given attributable risk at prevalence f.
 
     Algebraic inversion of :func:`par`:
-    rr = 1 + target_par / (f * (1 - target_par)).
+    rr = 1 + target_par / (f * (1 - target_par)). Raises
+    :class:`TargetUnreachableError` when that rr is beyond the floating
+    point range, i.e. the denominator underflows to 0 or the quotient
+    overflows.
     """
     f = _require_prob(f, "f", open_interval=True)
     tp = _require_finite(target_par, "target_par")
     if tp < 0.0 or tp >= 1.0:
         raise InvalidParamsError(f"target_par must lie in [0, 1), got {tp}")
-    return 1.0 + tp / (f * (1.0 - tp))
+    denom = f * (1.0 - tp)
+    rr = 1.0 + tp / denom if denom > 0.0 else math.inf
+    if rr == math.inf:
+        raise TargetUnreachableError(
+            f"target_par = {tp!r} at f = {f!r} needs an rr beyond the "
+            f"floating point range"
+        )
+    return rr
 
 
 def max_feasible_rr(p0) -> float:
@@ -323,24 +307,26 @@ def max_feasible_rr(p0) -> float:
     return rr
 
 
-def rr_for_target_c(f, p0, target_c, config: SolverConfig | None = None) -> float:
+def rr_for_target_c(f, p0, target_c, *, tolerance=1e-10) -> float:
     """Relative risk whose c-index equals ``target_c``, found by bisection.
 
     The c-index is strictly increasing in rr at fixed (f, p0), so the root
-    on [1, rr_upper] is unique. Iteration stops once the bracket is
-    narrower than ``abs_tolerance`` and the c-index at the midpoint is
-    within ``abs_tolerance`` of the target; both conditions together make
-    the result accurate in rr as well as in c.
+    on [1, max_feasible_rr(p0)] is unique. Bisection returns the first
+    midpoint whose c-index is within ``tolerance`` of the target while the
+    bracket is no wider than ``tolerance``; both conditions together make
+    the result accurate in rr as well as in c. Where floats are too coarse
+    for that, the bracket shrinks until its ends are adjacent floats, and
+    the end whose c-index is nearer the target is returned: the root then
+    lies within one ulp of the result. Float spacing thus ends the loop
+    (about 1100 halvings at most), so there is no iteration budget.
 
-    Raises :class:`TargetUnreachableError` when ``target_c`` exceeds the
-    c-index at the upper bracket end by more than ``abs_tolerance``, and
-    :class:`NoConvergenceError` when the iteration budget runs out. A
-    target above that c-index but within ``abs_tolerance`` of it returns the
-    bracket end, which already meets the tolerance contract in c.
+    Raises :class:`InvalidParamsError` unless ``tolerance`` is finite and
+    positive, and :class:`TargetUnreachableError` when ``target_c``
+    exceeds the c-index at the upper bracket end by more than
+    ``tolerance``. A target above that c-index but within ``tolerance`` of
+    it returns the bracket end, which already meets the tolerance contract
+    in c.
     """
-    cfg = config if config is not None else SolverConfig()
-    if not isinstance(cfg, SolverConfig):
-        raise InvalidParamsError(f"config must be a SolverConfig, got {type(cfg).__name__}")
     f = _require_prob(f, "f", open_interval=True)
     p0 = _require_prob(p0, "p0", open_interval=True)
     target = _require_finite(target_c, "target_c")
@@ -348,27 +334,17 @@ def rr_for_target_c(f, p0, target_c, config: SolverConfig | None = None) -> floa
         raise InvalidParamsError(
             f"target_c must be at least 0.5 (the c-index at rr = 1), got {target}"
         )
+    tol = _require_finite(tolerance, "tolerance")
+    if tol <= 0.0:
+        raise InvalidParamsError(f"tolerance must be positive, got {tol}")
 
     lo = 1.0
-    if cfg.rr_upper_bound is not None:
-        hi = cfg.rr_upper_bound
-        if hi * p0 > 1.0:
-            raise InvalidParamsError(
-                f"rr_upper_bound = {hi:g} is infeasible for p0 = {p0:g} "
-                f"(rr*p0 <= 1 is required)"
-            )
-    else:
-        hi = max_feasible_rr(p0)
-    if hi <= lo:
-        raise InvalidParamsError(
-            f"the bracket [1, {hi:g}] is empty; rr_upper_bound must exceed 1"
-        )
+    hi = max_feasible_rr(p0)
 
     # Every rr in [1, hi] keeps rr * p0 <= 1: the scenario needs no re-validation.
     def c_at(rr: float) -> float:
         return _measure_kernel(f, p0, rr * p0, rr)[4]
 
-    tol = cfg.abs_tolerance
     c_hi = c_at(hi)
     if target > c_hi + tol:
         raise TargetUnreachableError(
@@ -383,16 +359,17 @@ def rr_for_target_c(f, p0, target_c, config: SolverConfig | None = None) -> floa
     if target <= c_lo:
         return lo
 
-    for _ in range(cfg.max_iterations):
-        mid = 0.5 * (lo + hi)
+    # c_lo < target <= c_hi holds throughout
+    while True:
+        # rounds as 0.5 * (lo + hi) does, but cannot overflow near 1.8e308
+        mid = 0.5 * lo + 0.5 * hi
         c_mid = c_at(mid)
         if abs(c_mid - target) <= tol and (hi - lo) <= tol:
             return mid
+        if mid == lo or mid == hi:
+            # lo and hi are adjacent floats: the bracket cannot shrink
+            return lo if target - c_lo < c_hi - target else hi
         if c_mid < target:
-            lo = mid
+            lo, c_lo = mid, c_mid
         else:
-            hi = mid
-    raise NoConvergenceError(
-        f"bisection did not reach tolerance {tol:g} within "
-        f"{cfg.max_iterations} iterations"
-    )
+            hi, c_hi = mid, c_mid

@@ -6,6 +6,7 @@ explicit enumeration over the expanded cohort, and contour vertices are
 checked by a locally written bilinear interpolation.
 """
 
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -30,6 +31,21 @@ def derive_exact(f, p0, rr):
         "par": par,
         "c_index": c_index,
     }
+
+
+def meets_solver_contract(f, p0, target_c, rr, tolerance):
+    """Whether a solved rr meets the c-index solver's contract, exactly.
+
+    Either the exact c-index at the float rr is within ``tolerance`` of
+    the target, or the exact root lies between rr's two float neighbours
+    (the exact c-index is increasing in rr).
+    """
+    target = Fraction(target_c)
+    if abs(derive_exact(f, p0, rr)["c_index"] - target) <= Fraction(tolerance):
+        return True
+    below = derive_exact(f, p0, math.nextafter(rr, 0.0))["c_index"]
+    above = derive_exact(f, p0, math.nextafter(rr, math.inf))["c_index"]
+    return below <= target <= above
 
 
 def pairwise_c_enumerated(counts):

@@ -7,6 +7,8 @@ import pytest
 
 from binaryrisk.cli import main
 
+from _oracles import meets_solver_contract
+
 C_INDEX_02 = 0.5408580183861083
 PAR_02 = 0.09090909090909091
 
@@ -168,6 +170,31 @@ class TestSolve:
         results = json.loads(out)["results"]
         assert results["rr"] == 5.0
         assert results["verification"]["c_index"] == pytest.approx(0.7777777777777778, abs=1e-10)
+
+    def test_target_c_large_rr_at_small_p0(self, run_cli):
+        # the float spacing of rr near 1e9 exceeds the default tolerance
+        code, out, _ = run_cli("solve", "--f", "0.5", "--p0", "1e-9", "--target-c", "0.99")
+        assert code == 0
+        envelope = json.loads(out)  # exactly one JSON document on stdout
+        rr = envelope["results"]["rr"]
+        assert meets_solver_contract(0.5, 1e-9, 0.99, rr, 1e-10)
+
+    @pytest.mark.parametrize("value", ["0", "-1e-9", "inf", "nan"])
+    def test_invalid_tolerance_exits_2(self, run_cli, value):
+        # the = form, since argparse reads a bare "-1e-9" as an option
+        code, out, err = run_cli(
+            "solve", "--f", "0.2", "--p0", "0.1", "--target-c", "0.55", f"--tolerance={value}"
+        )
+        assert code == 2
+        assert out == ""
+        assert "tolerance must be" in err
+
+    def test_target_par_rr_beyond_float_range_exits_2(self, run_cli):
+        # f * (1 - target_par) underflows to 0
+        code, out, err = run_cli("solve", "--f", "5e-324", "--target-par", "0.5")
+        assert code == 2
+        assert out == ""
+        assert "floating point range" in err
 
     def test_unreachable_target_exits_2(self, run_cli):
         code, out, err = run_cli("solve", "--f", "0.2", "--p0", "0.1", "--target-c", "0.99")

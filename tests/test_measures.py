@@ -2,15 +2,13 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import example, given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from binaryrisk import (
     DegenerateScenarioError,
     InvalidParamsError,
-    NoConvergenceError,
     PopulationParams,
-    SolverConfig,
     TargetUnreachableError,
     c_index_closed,
     c_index_three_term,
@@ -24,7 +22,7 @@ from binaryrisk import (
     rr_from_par,
 )
 
-from _oracles import derive_exact
+from _oracles import derive_exact, meets_solver_contract
 
 # Frozen expectations, computed once with the exact rational oracle
 # (see _oracles.derive_exact); fractions noted for reference.
@@ -288,28 +286,6 @@ class TestMonotonicity:
                     assert c[(low, rr)] < c[(high, rr)]
 
 
-class TestSolverConfig:
-    def test_defaults(self):
-        config = SolverConfig()
-        assert config.abs_tolerance == 1e-10
-        assert config.max_iterations == 200
-        assert config.rr_upper_bound is None
-
-    @pytest.mark.parametrize(
-        "kwargs",
-        [
-            {"abs_tolerance": 0.0},
-            {"abs_tolerance": -1e-9},
-            {"max_iterations": 0},
-            {"max_iterations": 2.5},
-            {"rr_upper_bound": -1.0},
-        ],
-    )
-    def test_invalid_config(self, kwargs):
-        with pytest.raises(InvalidParamsError):
-            SolverConfig(**kwargs)
-
-
 class TestRrFromPar:
     def test_round_trip_nine_percent(self):
         assert rr_from_par(0.2, PAR_02) == pytest.approx(1.5, abs=1e-10)
@@ -328,6 +304,18 @@ class TestRrFromPar:
     @given(open_probabilities(), st.floats(min_value=1.0, max_value=10.0, allow_nan=False))
     def test_round_trip_property(self, f, rr):
         assert abs(rr_from_par(f, par(f, rr)) - rr) <= 1e-10
+
+    @pytest.mark.parametrize(
+        "f, target",
+        [
+            (5e-324, 0.5),  # f * (1 - target) underflows to 0
+            (5e-324, 0.1),  # the quotient overflows to inf
+            (1e-300, 0.9999999999999999),  # subnormal denominator, quotient overflows
+        ],
+    )
+    def test_rr_beyond_float_range_unreachable(self, f, target):
+        with pytest.raises(TargetUnreachableError, match="floating point range"):
+            rr_from_par(f, target)
 
 
 class TestMaxFeasibleRr:
@@ -358,23 +346,51 @@ class TestRrForTargetC:
         with pytest.raises(InvalidParamsError):
             rr_for_target_c(0.2, 0.10, 0.49)
 
-    def test_iteration_budget_exhausted(self):
-        with pytest.raises(NoConvergenceError):
-            rr_for_target_c(0.2, 0.10, C_INDEX_02, SolverConfig(max_iterations=2))
-
-    def test_custom_upper_bound_validated(self):
-        with pytest.raises(InvalidParamsError):
-            rr_for_target_c(0.2, 0.5, 0.55, SolverConfig(rr_upper_bound=5.0))
-
-    def test_custom_upper_bound_used(self):
-        with pytest.raises(TargetUnreachableError):
-            rr_for_target_c(0.2, 0.10, C_INDEX_02, SolverConfig(rr_upper_bound=1.2))
+    @pytest.mark.parametrize("tolerance", [0.0, -1e-9, math.nan, math.inf])
+    def test_invalid_tolerance(self, tolerance):
+        with pytest.raises(InvalidParamsError, match="tolerance"):
+            rr_for_target_c(0.2, 0.10, C_INDEX_02, tolerance=tolerance)
 
     def test_solution_meets_tolerance_contract(self):
-        config = SolverConfig(abs_tolerance=1e-10)
-        rr = rr_for_target_c(0.35, 0.08, 0.57, config)
+        rr = rr_for_target_c(0.35, 0.08, 0.57, tolerance=1e-10)
         achieved = derive_measures(PopulationParams(f=0.35, p0=0.08, rr=rr)).c_index
-        assert abs(achieved - 0.57) <= config.abs_tolerance
+        assert abs(achieved - 0.57) <= 1e-10
+
+    @pytest.mark.parametrize(
+        "f, p0, target, tolerance",
+        [
+            # large rr at small p0, where the float spacing of rr exceeds the tolerance
+            (0.5, 1e-9, 0.99, 1e-10),
+            (0.5, 1e-300, 0.75, 1e-10),
+            # p0 near 1, where c is steep in rr
+            (0.4513582702342793, 0.9999999999983522, 0.6255687757932229, 1e-12),
+            # rr near 1 with a bracket up to ~4.6e53: more than 200 halvings
+            (0.003309301144703165, 2.1816238568248375e-54, 0.5000000081705862, 1e-12),
+        ],
+    )
+    def test_reachable_target_meets_oracle_contract(self, f, p0, target, tolerance):
+        rr = rr_for_target_c(f, p0, target, tolerance=tolerance)
+        assert meets_solver_contract(f, p0, target, rr, tolerance)
+
+    def test_subnormal_p0_bracket_does_not_overflow(self):
+        # max_feasible_rr(1e-310) is the largest float and the root lies above
+        # 1.5e308, so lo + hi would overflow to inf
+        rr = rr_for_target_c(0.5, 1e-310, 0.752)
+        assert 1.5e308 < rr <= max_feasible_rr(1e-310)
+
+    @settings(derandomize=True)
+    @given(
+        f=st.floats(min_value=0.0, max_value=1.0, exclude_min=True, exclude_max=True),
+        log_p0=st.floats(min_value=math.log(1e-300), max_value=math.log1p(-1e-12)),
+        share=st.floats(min_value=0.0, max_value=1.0),
+        tolerance=st.sampled_from([1e-6, 1e-10, 1e-12, 1e-14]),
+    )
+    def test_always_returns_and_meets_oracle_contract(self, f, log_p0, share, tolerance):
+        p0 = min(max(math.exp(log_p0), 1e-300), 1.0 - 1e-12)
+        top = derive_measures(PopulationParams(f=f, p0=p0, rr=max_feasible_rr(p0))).c_index
+        target = min(0.5 + share * (top - 0.5), top)
+        rr = rr_for_target_c(f, p0, target, tolerance=tolerance)
+        assert meets_solver_contract(f, p0, target, rr, tolerance)
 
     @given(
         open_probabilities(low=0.05, high=0.95),
