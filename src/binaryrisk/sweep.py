@@ -12,8 +12,16 @@ edges. The field is strictly monotone in both directions wherever rr > 1,
 so the only ambiguity, the two saddle cases, is settled by the sign of
 the cell-centre mean. Cells touching a masked or non-finite corner emit
 nothing: such regions sit outside every level, so no vertex is NaN or
-infinite. Each level is processed as whole arrays of cells; only the
-chaining of segments into polylines walks them one at a time.
+infinite. All levels of a grid come from one span-space pass: each valid
+cell's corner minimum and maximum are taken once, and a ``searchsorted``
+of the sorted levels against them yields every (cell, level) crossing,
+so the work grows with the crossings rather than with levels times
+cells. Only the chaining of segments into polylines walks them one at a
+time.
+
+The JSON and CSV exporters write each lattice row with one ``%``
+operation over its unmasked values, through a template that already
+holds the masked cells' text.
 
 The SVG writer is deliberately small and fully deterministic: the same
 grids produce the same bytes, with no timestamps, random ids, or external
@@ -24,6 +32,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from itertools import chain, groupby, repeat
 
 import numpy as np
 
@@ -227,30 +236,55 @@ for _key, _pairs in _SEGMENT_TABLE.items():
 del _key, _pairs
 
 
-def _crossing_segments(grid: MeasureGrid, level: float):
-    """Endpoint coordinates ``(x, y)``, each shaped (segments, 2).
+def _contour_polylines(grid: MeasureGrid, levels) -> list[list[list[tuple[float, float]]]]:
+    """The polylines of every level in ``levels``, one list per level, in order.
 
-    Segments come in row-major cell order, and in table order within a
-    cell; segments whose two endpoints coincide are dropped.
+    A cell crosses a level exactly when its lowest corner lies at or below
+    the level and its highest corner above it, so a ``searchsorted`` of each
+    valid cell's corner range against the sorted levels yields every
+    (cell, level) crossing in one pass (span-space search, Livnat, Shen &
+    Johnson 1996). Work then grows with the crossings, not with levels
+    times cells. Crossings are grouped by level, row-major within each, so
+    every level's segments come in row-major cell order, and in table order
+    within a cell; segments whose two endpoints coincide are dropped.
+    Levels are told apart by their bits: 0.0 and -0.0 cross the same cells,
+    but each interpolates with its own sign.
     """
     values = grid.c_values
     valid = ~grid.mask & np.isfinite(values)
-    above = ((values > level) & valid).view(np.uint8)
-    case = (
-        above[:-1, :-1]
-        | (above[:-1, 1:] << 1)
-        | (above[1:, 1:] << 2)
-        | (above[1:, :-1] << 3)
-    )
     cell_ok = valid[:-1, :-1] & valid[:-1, 1:] & valid[1:, 1:] & valid[1:, :-1]
-    rows, cols = np.nonzero(cell_ok & (case != 0) & (case != 15))
-    case = case[rows, cols]
-    centre = 0.25 * (
-        values[rows, cols]
-        + values[rows, cols + 1]
-        + values[rows + 1, cols + 1]
-        + values[rows + 1, cols]
+    corners = (values[:-1, :-1], values[:-1, 1:], values[1:, 1:], values[1:, :-1])
+    low = np.minimum(np.minimum(corners[0], corners[1]), np.minimum(corners[2], corners[3]))
+    high = np.maximum(np.maximum(corners[0], corners[1]), np.maximum(corners[2], corners[3]))
+
+    bits, slot_of = np.unique(
+        np.asarray(levels, dtype=float).reshape(-1).view(np.int64), return_inverse=True
     )
+    by_value = np.argsort(bits.view(np.float64), kind="stable")
+    ladder = bits.view(np.float64)[by_value]
+    # the levels in [low, high) of each valid cell, as ranks into the ladder
+    first = np.searchsorted(ladder, low.ravel())
+    count = (np.searchsorted(ladder, high.ravel()) - first) * cell_ok.ravel()
+    crossing = np.repeat(np.arange(count.size), count)
+    rank = first[crossing] + np.arange(crossing.size) - np.repeat(np.cumsum(count) - count, count)
+    # a stable sort keeps the cells of each level in row-major order
+    by_rank = np.argsort(rank, kind="stable")
+    rank = rank[by_rank]
+    rows, cols = np.unravel_index(crossing[by_rank], low.shape)
+    level = ladder[rank]
+    v00, v01, v11, v10 = (
+        values[rows, cols],
+        values[rows, cols + 1],
+        values[rows + 1, cols + 1],
+        values[rows + 1, cols],
+    )
+    case = (
+        (v00 > level).view(np.uint8)
+        | ((v01 > level).view(np.uint8) << 1)
+        | ((v11 > level).view(np.uint8) << 2)
+        | ((v10 > level).view(np.uint8) << 3)
+    )
+    centre = 0.25 * (v00 + v01 + v11 + v10)
     split = ((case == 5) | (case == 10)) & (centre > level)
     pairs = _SEGMENTS[case + 16 * split]
     cell, slot = np.nonzero(pairs[:, :, 0] >= 0)
@@ -261,14 +295,20 @@ def _crossing_segments(grid: MeasureGrid, level: float):
     ib, jb = row + ends[:, :, 2], col + ends[:, :, 3]
     va = values[ia, ja]
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        t = (level - va) / (values[ib, jb] - va)
+        t = (level[cell, None] - va) / (values[ib, jb] - va)
     # np.clip could turn a -0.0 into 0.0; the comparisons keep it.
     t = np.where(t < 0.0, 0.0, np.where(t > 1.0, 1.0, t))
     p0_axis, rr_axis = grid.p0_axis, grid.rr_axis
     x = p0_axis[ja] + t * (p0_axis[jb] - p0_axis[ja])
     y = rr_axis[ia] + t * (rr_axis[ib] - rr_axis[ia])
     distinct = (x[:, 0] != x[:, 1]) | (y[:, 0] != y[:, 1])
-    return x[distinct], y[distinct]
+    x, y = x[distinct], y[distinct]
+    bounds = np.searchsorted(rank[cell[distinct]], np.arange(ladder.size + 1)).tolist()
+    polylines = [None] * ladder.size
+    for k, level_slot in enumerate(by_value.tolist()):
+        start, stop = bounds[k], bounds[k + 1]
+        polylines[level_slot] = _stitch(x[start:stop], y[start:stop])
+    return [polylines[k] for k in slot_of.tolist()]
 
 
 def _stitch(x, y) -> list[list[tuple[float, float]]]:
@@ -341,7 +381,7 @@ def extract_contours(grid: MeasureGrid, level) -> ContourSet:
     if not isinstance(grid, MeasureGrid):
         raise InvalidParamsError(f"grid must be a MeasureGrid, got {type(grid).__name__}")
     level = _require_finite(level, "level")
-    polylines = tuple(tuple(path) for path in _stitch(*_crossing_segments(grid, level)))
+    polylines = tuple(tuple(path) for path in _contour_polylines(grid, (level,))[0])
     return ContourSet(level=level, polylines=polylines)
 
 
@@ -441,22 +481,22 @@ def _panel_svg(grid: MeasureGrid, spec: GridSpec, offset_x: float) -> list[str]:
     )
 
     parts.append('<g class="contours">')
-    for level in spec.contour_levels:
-        contour = extract_contours(grid, level)
-        if not contour.polylines:
+    levels = spec.contour_levels
+    for level, polylines in zip(levels, _contour_polylines(grid, levels)):
+        if not polylines:
             continue
         parts.append(f'<g class="level" data-level="{_tick_label(level)}">')
         # to_x and to_y over every vertex of the level at once
-        xy = np.array([point for polyline in contour.polylines for point in polyline])
+        xy = np.array([point for polyline in polylines for point in polyline])
         px = (x0 + (xy[:, 0] - spec.p0_min) / p0_span * _PANEL_WIDTH).tolist()
         py = (y0 + _PANEL_HEIGHT - (xy[:, 1] - spec.rr_min) / rr_span * _PANEL_HEIGHT).tolist()
         vertices = [f"{x:.2f} {y:.2f}" for x, y in zip(px, py)]
         start = 0
-        for polyline in contour.polylines:
+        for polyline in polylines:
             stop = start + len(polyline)
             parts.append(f'<path class="contour" d="M {" L ".join(vertices[start:stop])}"/>')
             start = stop
-        longest = max(contour.polylines, key=len)
+        longest = max(polylines, key=len)
         label_x, label_y = longest[len(longest) // 2]
         parts.append(
             f'<text class="contour-label" x="{_px(to_x(label_x) + 2)}" '
@@ -556,6 +596,44 @@ def _extend_json_array(parts: list[str], items, indent: int) -> None:
     parts.append("[]" if empty else "\n" + " " * indent + "]")
 
 
+def _json_floats(template: str, values: tuple) -> str:
+    """``template % values``, each ``%.12g`` slot written as by :func:`_json_float`.
+
+    ``template`` holds no ``.`` or ``e`` outside its slots. A ``.12g`` text
+    with a point and no exponent is final, so a result with one point per
+    value and no ``e`` took one ``%`` operation. Otherwise only the texts
+    without a point or with an exponent go through :func:`_json_float`,
+    which also rejects non-finite values.
+    """
+    text = template % values
+    if text.count(".") == len(values) and "e" not in text:
+        return text
+    texts = ["%.12g" % v for v in values]
+    fixed = [t if "." in t and "e" not in t else _json_float(v) for t, v in zip(texts, values)]
+    return template.replace("%.12g", "%s") % tuple(fixed)
+
+
+def _rows(grid: MeasureGrid):
+    """Per lattice row: its mask runs and its unmasked c-index values.
+
+    A run is ``(masked, start, stop)`` over a stretch of equal mask flags,
+    so a row's format template is built from a few slices of text, and the
+    values tuple feeds one ``%`` operation.
+    """
+    unmasked = ~grid.mask
+    values = grid.c_values[unmasked].tolist()
+    stops = np.cumsum(unmasked.sum(axis=1)).tolist()
+    start = 0
+    for mask_row, stop in zip(grid.mask.tolist(), stops):
+        runs, column = [], 0
+        for masked, run in groupby(mask_row):
+            width = len(list(run))
+            runs.append((masked, column, column + width))
+            column += width
+        yield tuple(runs), tuple(values[start:stop])
+        start = stop
+
+
 def grids_to_csv(grids) -> str:
     """CSV export, one row per cell: f, p0, rr, par, c_index, masked.
 
@@ -566,40 +644,44 @@ def grids_to_csv(grids) -> str:
     for grid in grids:
         f_text = format(grid.prevalence, ".12g")
         heads = [f"{f_text},{p0:.12g}," for p0 in grid.p0_axis.tolist()]
-        rows = zip(
-            grid.rr_axis.tolist(),
-            grid.par_axis.tolist(),
-            grid.c_values.tolist(),
-            grid.mask.tolist(),
-        )
-        for rr, par_value, c_row, mask_row in rows:
+        axes = zip(grid.rr_axis.tolist(), grid.par_axis.tolist())
+        for (rr, par_value), (runs, values) in zip(axes, _rows(grid)):
             middle = f"{rr:.12g},{par_value:.12g},"
-            cells = [
-                f"{head}{middle},true\n" if masked else f"{head}{middle}{c:.12g},false\n"
-                for head, c, masked in zip(heads, c_row, mask_row)
-            ]
-            parts.append("".join(cells))
+            # a masked cell's whole text sits in the template; it takes no value
+            tails = (middle + "%.12g,false\n", middle + ",true\n")
+            template = "".join(tails[m].join(heads[a:b]) + tails[m] for m, a, b in runs)
+            parts.append(template % values)
     return "".join(parts)
+
+
+def _json_run_array(runs, texts: tuple[str, str]) -> str:
+    """A c_values or mask row array: ``texts[masked]`` for each cell of each run."""
+    return _json_array(list(chain.from_iterable(repeat(texts[m], b - a) for m, a, b in runs)), 8)
 
 
 def _grid_json_parts(grid: MeasureGrid) -> list[str]:
     parts = [f'{{\n      "prevalence": {_json_float(grid.prevalence)}']
     for name in ("p0_axis", "rr_axis", "par_axis"):
-        texts = [_json_float(v) for v in getattr(grid, name).tolist()]
-        parts.append(f',\n      "{name}": {_json_array(texts, 6)}')
-    mask_rows = grid.mask.tolist()
-    c_rows = (
-        [_json_array(["null" if m else _json_float(c) for c, m in zip(row, mask_row)], 8)]
-        for row, mask_row in zip(grid.c_values.tolist(), mask_rows)
-    )
+        values = tuple(getattr(grid, name).tolist())
+        text = _json_floats(_json_array(["%.12g"] * len(values), 6), values)
+        parts.append(f',\n      "{name}": {text}')
+    # (c_values row template, mask row text) per mask pattern: rows without
+    # a masked cell share one of each
+    templates = {}
+    c_rows, mask_rows = [], []
+    for runs, values in _rows(grid):
+        if runs not in templates:
+            templates[runs] = (
+                _json_run_array(runs, ("%.12g", "null")),
+                _json_run_array(runs, ("false", "true")),
+            )
+        c_template, mask_text = templates[runs]
+        c_rows.append([_json_floats(c_template, values)])
+        mask_rows.append([mask_text])
     parts.append(',\n      "c_values": ')
     _extend_json_array(parts, c_rows, 6)
     parts.append(',\n      "mask": ')
-    _extend_json_array(
-        parts,
-        ([_json_array(["true" if masked else "false" for masked in row], 8)] for row in mask_rows),
-        6,
-    )
+    _extend_json_array(parts, mask_rows, 6)
     parts.append("\n    }")
     return parts
 

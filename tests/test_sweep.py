@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import io
 import json
 import math
@@ -7,7 +8,7 @@ import xml.etree.ElementTree as ET
 
 import numpy as np
 import pytest
-from hypothesis import example, given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import array_shapes, arrays
 
@@ -26,7 +27,7 @@ from binaryrisk import (
     par,
     render_svg,
 )
-from binaryrisk.sweep import _json_float
+from binaryrisk.sweep import _contour_polylines, _json_float
 
 from _oracles import bilinear_c
 
@@ -457,6 +458,23 @@ def _small_grids(draw):
     return values, draw(arrays(np.bool_, shape))
 
 
+@st.composite
+def _level_lists(draw, values):
+    """Unsorted levels with repeats: grid values, 0.0 and -0.0, and floats
+    inside and outside the field's range; possibly none."""
+    finite = values[np.isfinite(values)]
+    lo, hi = float(finite.min()), float(finite.max())
+    level = st.one_of(
+        st.sampled_from(finite.tolist()),
+        st.sampled_from([0.0, -0.0]),
+        st.floats(lo - 0.1, hi + 0.1),
+    )
+    levels = draw(st.lists(level, max_size=6))
+    if levels:
+        levels += draw(st.lists(st.sampled_from(levels), max_size=3))
+    return draw(st.permutations(levels))
+
+
 class TestContourByteIdentity:
     def test_default_spec_levels(self, default_spec, default_grids):
         for grid in default_grids:
@@ -497,6 +515,39 @@ class TestContourByteIdentity:
         _assert_same_contours(_synthetic_grid(values), 0.5)
         # finite values under the mask: only the mask keeps those cells out
         _assert_same_contours(_synthetic_grid(values, mask), 0.5)
+
+    @pytest.mark.parametrize("case", ["default", "wide", "non_finite"])
+    @settings(derandomize=True, max_examples=25, deadline=None)
+    @given(data=st.data())
+    def test_all_levels_pass_equals_reference(self, case, default_grids, wide_grid, data):
+        grid = {"default": default_grids[1], "wide": wide_grid}.get(case)
+        if grid is None:
+            values = default_grids[2].c_values.copy()
+            values[40, 60], values[100, 10], values[150, 150] = math.nan, math.inf, -math.inf
+            grid = dataclasses.replace(default_grids[2], c_values=values)
+        # the reference keeps out only masked cells
+        reference_grid = dataclasses.replace(grid, mask=grid.mask | ~np.isfinite(grid.c_values))
+        levels = data.draw(_level_lists(grid.c_values))
+        polylines = _contour_polylines(grid, levels)
+        assert len(polylines) == len(levels)
+        for level, paths in zip(levels, polylines):
+            contour = ContourSet(level=level, polylines=tuple(tuple(p) for p in paths))
+            assert _packed(contour) == _packed(_reference_extract_contours(reference_grid, level))
+
+    @pytest.mark.parametrize("levels", [[0.0, -0.0], [-0.0, 0.0]])
+    def test_signed_zero_levels_keep_their_own_sign(self, levels):
+        # vertices at a -0.0 axis origin carry the sign of the level's zero
+        grid = MeasureGrid(
+            prevalence=0.2,
+            p0_axis=[-0.0, 1.0],
+            rr_axis=[-0.0, 1.0],
+            c_values=[[0.0, 1.0], [-1.0, 1.0]],
+            par_axis=[0.0, 0.0],
+            mask=np.zeros((2, 2), dtype=bool),
+        )
+        for level, paths in zip(levels, _contour_polylines(grid, levels)):
+            contour = ContourSet(level=level, polylines=tuple(tuple(p) for p in paths))
+            assert _packed(contour) == _packed(_reference_extract_contours(grid, level))
 
 
 class TestNonFiniteCorners:
@@ -690,14 +741,44 @@ def _reference_grids_to_csv(grids):
     return buffer.getvalue()
 
 
+def _fix_up_grid():
+    """Every fix-up and masking branch of the exporters' row path.
+
+    Row 0 holds values whose ``.12g`` text is integral or has an exponent,
+    row 1 a -0.0; row 2 is fully masked, row 3 has a masked prefix, and
+    row 4 a masked interior cell and texts that all have a point but one
+    an exponent. The rr axis is integral throughout.
+    """
+    nan = math.nan
+    values = [
+        [1.0, 1e-05, 123456789012345.0, 0.5],
+        [-0.0, 0.5, 0.25, 0.125],
+        [nan, nan, nan, nan],
+        [nan, nan, 0.6, 1.0],
+        [0.7, nan, 1.5e-07, 0.8],
+    ]
+    mask = np.isnan(values)
+    return MeasureGrid(
+        prevalence=0.3,
+        p0_axis=[0.1, 0.2, 0.3, 0.4],
+        rr_axis=[1.0, 2.0, 3.0, 4.0, 5.0],
+        c_values=values,
+        par_axis=[0.0, 0.5, 1e-07, 0.25, -0.0],
+        mask=mask,
+    )
+
+
 @pytest.fixture(
-    params=["default", "wide", "resolution_2", "empty", "generator", "exponent_levels"]
+    params=["default", "wide", "resolution_2", "empty", "generator", "exponent_levels", "fix_ups"]
 )
 def export_case(request, default_spec, default_grids, wide_spec, wide_grid):
     """(spec, grids, what the exporter under test is given)."""
     case = request.param
     if case == "wide":
         return wide_spec, [wide_grid], [wide_grid]
+    if case == "fix_ups":
+        grids = [_fix_up_grid()]
+        return GridSpec(prevalences=(0.3,)), grids, grids
     if case == "empty":
         return default_spec, [], []
     if case == "generator":
