@@ -5,16 +5,11 @@ unexposed, relative risk) to the population-attributable risk and the
 concordance index of the exposure rule, solves the inverse problems,
 validates the closed forms against a seeded cohort simulation, and sweeps
 (p0, rr) grids into contour figures.
+
+Only ``cohort`` and ``sweep`` use numpy; they, and the names taken from
+them, are imported on first access, so the closed forms load without it.
 """
 
-from .cohort import (
-    CohortCounts,
-    SimulationSpec,
-    empirical_c,
-    empirical_measures,
-    plugin_rates,
-    simulate_cohort,
-)
 from .errors import (
     BinaryRiskError,
     DegenerateScenarioError,
@@ -35,16 +30,6 @@ from .measures import (
     prevalence_in_controls,
     rr_for_target_c,
     rr_from_par,
-)
-from .sweep import (
-    ContourSet,
-    GridSpec,
-    MeasureGrid,
-    evaluate_grid,
-    extract_contours,
-    grids_to_csv,
-    grids_to_json,
-    render_svg,
 )
 
 __version__ = "0.1.0"
@@ -83,3 +68,34 @@ __all__ = [
     "grids_to_csv",
     "grids_to_json",
 ]
+
+# The numpy-backed public names, by the submodule that defines them.
+_LAZY = {
+    **dict.fromkeys(
+        ("CohortCounts", "SimulationSpec", "simulate_cohort", "empirical_c",
+         "plugin_rates", "empirical_measures"),
+        "cohort",
+    ),
+    **dict.fromkeys(
+        ("GridSpec", "MeasureGrid", "ContourSet", "evaluate_grid", "extract_contours",
+         "render_svg", "grids_to_csv", "grids_to_json"),
+        "sweep",
+    ),
+}
+
+
+def __getattr__(name: str):
+    from importlib import import_module
+
+    if name in ("cohort", "sweep"):
+        # importing a submodule also binds it as an attribute of this package
+        return import_module(f"{__name__}.{name}")
+    if name not in _LAZY:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(import_module(f"{__name__}.{_LAZY[name]}"), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *__all__, "cohort", "sweep"})

@@ -9,6 +9,10 @@ above 1 are rejected, never rescaled. Payload files are written through
 ``--out`` (JSON by default, ``--format csv`` for the tabular form); the
 stdout envelope is JSON regardless, so ``--format csv`` without ``--out``
 is an error rather than a silent change of the stdout contract.
+
+``compute`` and ``solve`` run on the pure-Python closed forms; ``simulate``,
+``sweep`` and ``plot`` import the numpy-backed ``cohort`` and ``sweep`` on
+first use, so the first two never load numpy.
 """
 
 from __future__ import annotations
@@ -20,8 +24,8 @@ import json
 import math
 import sys
 from dataclasses import asdict
+from importlib import import_module
 
-from .cohort import SimulationSpec, empirical_measures, plugin_rates, simulate_cohort
 from .errors import BinaryRiskError, DegenerateScenarioError, InvalidParamsError
 from .measures import (
     PopulationParams,
@@ -30,7 +34,6 @@ from .measures import (
     rr_for_target_c,
     rr_from_par,
 )
-from .sweep import GridSpec, evaluate_grid, grids_to_csv, grids_to_json, render_svg
 
 __all__ = ["build_parser", "main"]
 
@@ -39,6 +42,35 @@ SCHEMA_VERSION = "1"
 EXIT_OK = 0
 EXIT_INPUT = 2
 EXIT_IO = 3
+
+# The names this module takes from the numpy-backed submodules.
+_LAZY = {
+    **dict.fromkeys(
+        ("SimulationSpec", "empirical_measures", "plugin_rates", "simulate_cohort"), "cohort"
+    ),
+    **dict.fromkeys(
+        ("GridSpec", "evaluate_grid", "grids_to_csv", "grids_to_json", "render_svg"), "sweep"
+    ),
+}
+
+
+def _bind(module: str) -> None:
+    """Import ``binaryrisk.<module>`` and bind the names taken from it here.
+
+    A name already bound, by an earlier call or by a caller that patched
+    it, keeps its value; handlers then look the names up as globals.
+    """
+    source = import_module(f"{__package__}.{module}")
+    for name, home in _LAZY.items():
+        if home == module:
+            globals().setdefault(name, getattr(source, name))
+
+
+def __getattr__(name: str):
+    if name not in _LAZY:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    _bind(_LAZY[name])
+    return globals()[name]
 
 
 def _command_flags(args) -> dict:
@@ -145,6 +177,7 @@ def _cmd_solve(args) -> int:
 
 
 def _cmd_simulate(args) -> int:
+    _bind("cohort")
     params = PopulationParams(f=args.f, p0=args.p0, rr=args.rr)
     spec = SimulationSpec(params=params, n_subjects=args.n, seed=args.seed)
     counts = simulate_cohort(spec)
@@ -195,12 +228,14 @@ def _grid_command(args, default_out: str, render, warnings=()) -> int:
 
 
 def _cmd_sweep(args) -> int:
+    _bind("sweep")
     if args.format == "csv":
         return _grid_command(args, "grids.csv", lambda grids, spec: grids_to_csv(grids))
     return _grid_command(args, "grids.json", grids_to_json)
 
 
 def _cmd_plot(args) -> int:
+    _bind("sweep")
     warnings = []
     if args.format == "csv":
         warnings.append("the plot payload is SVG; --format is ignored")
@@ -335,6 +370,13 @@ def main(argv=None) -> int:
         return args.handler(args)
     except BinaryRiskError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_INPUT
+    except MemoryError as exc:
+        # numpy raises a MemoryError subclass for an array larger than memory
+        print(
+            f"error: out of memory: {exc}; lower --n (simulate) or --resolution (sweep, plot)",
+            file=sys.stderr,
+        )
         return EXIT_INPUT
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -17,6 +17,7 @@ suite pin exact golden counts.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -104,9 +105,13 @@ class SimulationSpec:
             raise InvalidParamsError(
                 f"params must be a PopulationParams, got {type(self.params).__name__}"
             )
-        object.__setattr__(
-            self, "n_subjects", _require_count(self.n_subjects, "n_subjects", minimum=1)
-        )
+        n_subjects = _require_count(self.n_subjects, "n_subjects", minimum=1)
+        if n_subjects > sys.maxsize:
+            # the largest array length numpy can even be asked for
+            raise InvalidParamsError(
+                f"n_subjects must be at most {sys.maxsize}, got {n_subjects}"
+            )
+        object.__setattr__(self, "n_subjects", n_subjects)
         seed = _require_count(self.seed, "seed")
         if seed > _SEED_MAX:
             raise InvalidParamsError(f"seed must fit in 64 bits, got {seed}")

@@ -271,6 +271,25 @@ class TestSimulate:
         assert out == ""
         assert "--n" in err
 
+    # sizes no 64-bit machine can allocate, so the test cannot exhaust memory
+    @pytest.mark.parametrize(
+        "n, message",
+        [
+            ("1000000000000000000", "out of memory"),
+            ("10000000000000000000", "n_subjects must be at most"),
+        ],
+    )
+    def test_oversized_cohort_exits_2(self, run_cli, n, message):
+        code, out, err = run_cli(
+            "simulate", "--f", "0.2", "--p0", "0.1", "--rr", "2", "--n", n, "--seed", "1"
+        )
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ")
+        assert message in err
+        if message == "out of memory":
+            assert "--n" in err
+
     def test_seed_is_mandatory(self, run_cli):
         code, _, _ = run_cli(
             "simulate", "--f", "0.2", "--p0", "0.1", "--rr", "1.5", "--n", "100"
@@ -336,6 +355,18 @@ class TestSweep:
         assert code == 2
         assert out == ""
         assert "resolution" in err
+
+    def test_unallocatable_resolution_exits_2(self, run_cli, tmp_path):
+        # 10^14 cells: no 64-bit machine can allocate the grid
+        target = tmp_path / "grids.json"
+        code, out, err = run_cli(
+            "sweep", "--resolution", "10000000", "--prevalences", "0.5", "--out", str(target)
+        )
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: out of memory")
+        assert "--resolution" in err
+        assert not target.exists()
 
     def test_unwritable_out_exits_3(self, run_cli):
         code, out, err = run_cli(

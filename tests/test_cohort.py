@@ -1,3 +1,5 @@
+import sys
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -74,6 +76,11 @@ class TestSimulationSpec:
     def test_seed_outside_64_bits_rejected(self, seed):
         with pytest.raises(InvalidParamsError):
             make_spec(0.2, 0.1, 1.5, 10, seed)
+
+    def test_subjects_beyond_sys_maxsize_rejected(self):
+        assert make_spec(0.2, 0.1, 1.5, sys.maxsize, 1).n_subjects == sys.maxsize
+        with pytest.raises(InvalidParamsError, match="at most"):
+            make_spec(0.2, 0.1, 1.5, sys.maxsize + 1, 1)
 
 
 class TestSimulateCohort:

@@ -1,0 +1,168 @@
+"""numpy loads only with the cohort simulation and the grid sweeps.
+
+``compute`` and ``solve`` are pure-Python closed forms, so neither the
+package nor the CLI imports ``binaryrisk.cohort``, ``binaryrisk.sweep`` or
+numpy until a caller needs them. The import-state checks run in a fresh
+interpreter, because this test process has imported numpy already.
+"""
+
+import json
+import subprocess
+import sys
+
+import pytest
+
+import binaryrisk
+from binaryrisk import cli, cohort, errors, measures, sweep
+
+HEAVY = ("numpy", "binaryrisk.cohort", "binaryrisk.sweep")
+
+PUBLIC_NAMES = [
+    "__version__",
+    "BinaryRiskError",
+    "InvalidParamsError",
+    "DegenerateScenarioError",
+    "TargetUnreachableError",
+    "RenderError",
+    "PopulationParams",
+    "DerivedMeasures",
+    "incidence_exposed",
+    "prevalence_in_cases",
+    "prevalence_in_controls",
+    "par",
+    "c_index_three_term",
+    "c_index_closed",
+    "derive_measures",
+    "rr_from_par",
+    "max_feasible_rr",
+    "rr_for_target_c",
+    "CohortCounts",
+    "SimulationSpec",
+    "simulate_cohort",
+    "empirical_c",
+    "plugin_rates",
+    "empirical_measures",
+    "GridSpec",
+    "MeasureGrid",
+    "ContourSet",
+    "evaluate_grid",
+    "extract_contours",
+    "render_svg",
+    "grids_to_csv",
+    "grids_to_json",
+]
+
+# Runs each step in a fresh interpreter and prints, per step, its exit
+# code and which of HEAVY are loaded after it.
+LIGHT_PATH_SCRIPT = """
+import contextlib, io, json, sys
+
+HEAVY = {heavy!r}
+steps = []
+
+def record(step, code=None):
+    steps.append([step, code, [m for m in HEAVY if m in sys.modules]])
+
+import binaryrisk
+record("import binaryrisk")
+import binaryrisk.cli as cli
+record("import binaryrisk.cli")
+for argv in {argvs!r}:
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = cli.main(argv)
+    record(argv[0] + " " + argv[-2], code)
+print(json.dumps(steps))
+"""
+
+LIGHT = [
+    ["compute", "--f", "0.2", "--p0", "0.1", "--rr", "1.5"],
+    ["solve", "--f", "0.2", "--target-par", "0.1"],
+    ["solve", "--f", "0.2", "--p0", "0.1", "--target-c", "0.54"],
+]
+HEAVY_COMMANDS = [
+    ["simulate", "--f", "0.2", "--p0", "0.1", "--rr", "1.5", "--n", "1000", "--seed", "1"],
+    ["sweep", "--prevalences", "0.5", "--resolution", "5"],
+    ["plot", "--prevalences", "0.5", "--resolution", "5"],
+]
+
+
+def _run_fresh(code: str, cwd) -> str:
+    completed = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, cwd=cwd
+    )
+    assert completed.returncode == 0, completed.stderr
+    return completed.stdout
+
+
+def test_compute_and_solve_never_load_numpy(tmp_path):
+    script = LIGHT_PATH_SCRIPT.format(heavy=HEAVY, argvs=LIGHT + HEAVY_COMMANDS)
+    steps = json.loads(_run_fresh(script, tmp_path))
+    light, heavy = steps[: 2 + len(LIGHT)], steps[2 + len(LIGHT):]
+    for step, code, loaded in light:
+        assert code in (None, 0), step
+        assert loaded == [], step
+    # the numpy-backed commands still work in the same process
+    assert [code for _, code, _ in heavy] == [0, 0, 0]
+    assert heavy[-1][2] == list(HEAVY)
+    assert (tmp_path / "grids.json").exists()
+    assert (tmp_path / "figure.svg").exists()
+
+
+def test_submodules_and_dir_resolve_in_a_fresh_interpreter(tmp_path):
+    script = (
+        "import json, sys, binaryrisk\n"
+        "listed = dir(binaryrisk)\n"
+        "before = [m for m in {heavy!r} if m in sys.modules]\n"
+        "same = [binaryrisk.cohort is sys.modules['binaryrisk.cohort'],\n"
+        "        binaryrisk.sweep is sys.modules['binaryrisk.sweep']]\n"
+        "print(json.dumps([listed, before, same]))\n"
+    ).format(heavy=HEAVY)
+    listed, before, same = json.loads(_run_fresh(script, tmp_path))
+    assert set(PUBLIC_NAMES) | {"cohort", "errors", "measures", "sweep"} <= set(listed)
+    assert before == []
+    assert same == [True, True]
+
+
+def test_public_names_are_unchanged():
+    assert binaryrisk.__all__ == PUBLIC_NAMES
+
+
+@pytest.mark.parametrize("name", PUBLIC_NAMES[1:])
+def test_public_name_is_the_submodule_object(name):
+    value = getattr(binaryrisk, name)
+    home = sys.modules[value.__module__]
+    assert home in (errors, measures, cohort, sweep)
+    assert getattr(home, name) is value
+
+
+def test_star_import_binds_every_public_name():
+    namespace = {}
+    exec("from binaryrisk import *", namespace)
+    assert set(PUBLIC_NAMES) <= set(namespace)
+    assert namespace["simulate_cohort"] is cohort.simulate_cohort
+
+
+def test_unknown_name_raises_attribute_error():
+    with pytest.raises(AttributeError, match="no_such_name"):
+        binaryrisk.no_such_name
+    with pytest.raises(AttributeError, match="no_such_name"):
+        cli.no_such_name
+
+
+def test_patched_cli_name_is_the_one_called(monkeypatch, tmp_path):
+    # start as a fresh process would: no numpy-backed name bound in cli yet
+    for name in cli._LAZY:
+        monkeypatch.delitem(vars(cli), name, raising=False)
+    calls = []
+
+    def patched(grids):
+        calls.append(len(grids))
+        return "patched\n"
+
+    monkeypatch.setattr(cli, "grids_to_csv", patched)
+    target = tmp_path / "grids.csv"
+    argv = ["sweep", "--prevalences", "0.5", "--resolution", "5", "--format", "csv",
+            "--out", str(target)]
+    assert cli.main(argv) == 0
+    assert calls == [1]
+    assert target.read_text() == "patched\n"
