@@ -8,66 +8,15 @@ validates the closed forms against a seeded cohort simulation, and sweeps
 
 Only ``cohort`` and ``sweep`` use numpy; they, and the names taken from
 them, are imported on first access, so the closed forms load without it.
+Each public name is listed once, in its module's ``__all__``; ``_LAZY``
+is the one table of the numpy-backed names, read here and by ``cli``.
 """
 
-from .errors import (
-    BinaryRiskError,
-    DegenerateScenarioError,
-    InvalidParamsError,
-    RenderError,
-    TargetUnreachableError,
-)
-from .measures import (
-    DerivedMeasures,
-    PopulationParams,
-    c_index_closed,
-    c_index_three_term,
-    derive_measures,
-    incidence_exposed,
-    max_feasible_rr,
-    par,
-    prevalence_in_cases,
-    prevalence_in_controls,
-    rr_for_target_c,
-    rr_from_par,
-)
+from . import errors, measures
+from .errors import *  # noqa: F403
+from .measures import *  # noqa: F403
 
 __version__ = "0.1.0"
-
-__all__ = [
-    "__version__",
-    "BinaryRiskError",
-    "InvalidParamsError",
-    "DegenerateScenarioError",
-    "TargetUnreachableError",
-    "RenderError",
-    "PopulationParams",
-    "DerivedMeasures",
-    "incidence_exposed",
-    "prevalence_in_cases",
-    "prevalence_in_controls",
-    "par",
-    "c_index_three_term",
-    "c_index_closed",
-    "derive_measures",
-    "rr_from_par",
-    "max_feasible_rr",
-    "rr_for_target_c",
-    "CohortCounts",
-    "SimulationSpec",
-    "simulate_cohort",
-    "empirical_c",
-    "plugin_rates",
-    "empirical_measures",
-    "GridSpec",
-    "MeasureGrid",
-    "ContourSet",
-    "evaluate_grid",
-    "extract_contours",
-    "render_svg",
-    "grids_to_csv",
-    "grids_to_json",
-]
 
 # The numpy-backed public names, by the submodule that defines them.
 _LAZY = {
@@ -82,6 +31,8 @@ _LAZY = {
         "sweep",
     ),
 }
+
+__all__ = ["__version__", *errors.__all__, *measures.__all__, *_LAZY]
 
 
 def __getattr__(name: str):

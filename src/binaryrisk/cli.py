@@ -12,7 +12,8 @@ is an error rather than a silent change of the stdout contract.
 
 ``compute`` and ``solve`` run on the pure-Python closed forms; ``simulate``,
 ``sweep`` and ``plot`` import the numpy-backed ``cohort`` and ``sweep`` on
-first use, so the first two never load numpy.
+first use, so the first two never load numpy. The names taken from those
+two modules are the package's ``_LAZY`` table, the one list of them.
 """
 
 from __future__ import annotations
@@ -26,6 +27,7 @@ import sys
 from dataclasses import asdict
 from importlib import import_module
 
+from . import _LAZY
 from .errors import BinaryRiskError, DegenerateScenarioError, InvalidParamsError
 from .measures import (
     PopulationParams,
@@ -42,16 +44,6 @@ SCHEMA_VERSION = "1"
 EXIT_OK = 0
 EXIT_INPUT = 2
 EXIT_IO = 3
-
-# The names this module takes from the numpy-backed submodules.
-_LAZY = {
-    **dict.fromkeys(
-        ("SimulationSpec", "empirical_measures", "plugin_rates", "simulate_cohort"), "cohort"
-    ),
-    **dict.fromkeys(
-        ("GridSpec", "evaluate_grid", "grids_to_csv", "grids_to_json", "render_svg"), "sweep"
-    ),
-}
 
 
 def _bind(module: str) -> None:
@@ -243,9 +235,14 @@ def _cmd_plot(args) -> int:
 
 
 def _float_tuple(text: str) -> tuple[float, ...]:
-    values = tuple(float(token) for token in text.split(",") if token.strip())
+    try:
+        values = tuple(float(token) for token in text.split(",") if token.strip())
+    except ValueError:
+        values = ()
     if not values:
-        raise argparse.ArgumentTypeError("expected a comma-separated list of numbers")
+        raise argparse.ArgumentTypeError(
+            f"expected a comma-separated list of numbers, got {text!r}"
+        )
     return values
 
 

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateScenarioError, InvalidParamsError
-from .measures import DerivedMeasures, PopulationParams, _measure_kernel
+from .measures import DerivedMeasures, PopulationParams, _measure_kernel, _require_count
 
 __all__ = [
     "CohortCounts",
@@ -35,15 +35,6 @@ __all__ = [
 ]
 
 _SEED_MAX = 2**64 - 1
-
-
-def _require_count(value, name: str, *, minimum: int = 0) -> int:
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-        raise InvalidParamsError(f"{name} must be an integer, got {value!r}")
-    value = int(value)
-    if value < minimum:
-        raise InvalidParamsError(f"{name} must be at least {minimum}, got {value}")
-    return value
 
 
 @dataclass(frozen=True)

@@ -1,5 +1,13 @@
 """Exception types shared across the package."""
 
+__all__ = [
+    "BinaryRiskError",
+    "InvalidParamsError",
+    "DegenerateScenarioError",
+    "TargetUnreachableError",
+    "RenderError",
+]
+
 
 class BinaryRiskError(Exception):
     """Base class for every error raised by this package."""

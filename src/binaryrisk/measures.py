@@ -31,6 +31,7 @@ their own arguments because they take user input.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field
 
 from .errors import (
@@ -78,11 +79,21 @@ def _require_prob(value, name: str, *, open_interval: bool = False) -> float:
     return x
 
 
-def _require_rr(value, *, allow_zero: bool = False) -> float:
-    x = _require_finite(value, "rr")
+def _require_positive(value, name: str, *, allow_zero: bool = False) -> float:
+    x = _require_finite(value, name)
     if x < 0.0 or (x == 0.0 and not allow_zero):
-        raise InvalidParamsError(f"rr must be positive, got {x}")
+        raise InvalidParamsError(f"{name} must be positive, got {x}")
     return x
+
+
+def _require_count(value, name: str, *, minimum: int = 0) -> int:
+    """An integer of at least ``minimum``, as an ``int``; a bool is not a count."""
+    if isinstance(value, bool) or not hasattr(value, "__index__"):
+        raise InvalidParamsError(f"{name} must be an integer, got {value!r}")
+    count = operator.index(value)
+    if count < minimum:
+        raise InvalidParamsError(f"{name} must be at least {minimum}, got {count}")
+    return count
 
 
 def _realizable_p1(p0: float, rr: float) -> float:
@@ -172,7 +183,7 @@ class PopulationParams:
     def __post_init__(self) -> None:
         object.__setattr__(self, "f", _require_prob(self.f, "f", open_interval=True))
         object.__setattr__(self, "p0", _require_prob(self.p0, "p0", open_interval=True))
-        rr = _require_rr(self.rr)
+        rr = _require_positive(self.rr, "rr")
         object.__setattr__(self, "p1", _realizable_p1(self.p0, rr))
         object.__setattr__(self, "rr", rr)
 
@@ -200,7 +211,8 @@ def incidence_exposed(p0, rr) -> float:
     Raises :class:`InvalidParamsError` when rr * p0 exceeds 1: such a
     scenario is unrealizable.
     """
-    return _realizable_p1(_require_prob(p0, "p0", open_interval=True), _require_rr(rr))
+    p0 = _require_prob(p0, "p0", open_interval=True)
+    return _realizable_p1(p0, _require_positive(rr, "rr"))
 
 
 def prevalence_in_cases(f, p0, p1) -> float:
@@ -230,7 +242,8 @@ def par(f, rr) -> float:
     plug-in estimates from cohorts with no exposed cases stay computable.
     The denominator is at least 1 - f > 0, also in floating point.
     """
-    return _par(_require_prob(f, "f", open_interval=True), _require_rr(rr, allow_zero=True))
+    f = _require_prob(f, "f", open_interval=True)
+    return _par(f, _require_positive(rr, "rr", allow_zero=True))
 
 
 def c_index_three_term(f_cases, f_controls) -> float:

@@ -37,7 +37,9 @@ from itertools import chain, groupby, repeat
 import numpy as np
 
 from .errors import InvalidParamsError, RenderError
-from .measures import _measure_kernel, _par, _require_finite, _require_prob, par
+from .measures import (
+    _measure_kernel, _par, _require_count, _require_finite, _require_positive, _require_prob
+)
 
 __all__ = [
     "GridSpec",
@@ -53,13 +55,6 @@ __all__ = [
 
 def _default_levels() -> tuple[float, ...]:
     return tuple(round(0.51 + 0.01 * k, 2) for k in range(10))
-
-
-def _require_positive(value, name: str) -> float:
-    x = _require_finite(value, name)
-    if x <= 0.0:
-        raise InvalidParamsError(f"{name} must be positive, got {x}")
-    return x
 
 
 @dataclass(frozen=True)
@@ -102,12 +97,9 @@ class GridSpec:
             )
         object.__setattr__(self, "rr_min", rr_min)
         object.__setattr__(self, "rr_max", rr_max)
-        if isinstance(self.resolution, bool) or not isinstance(self.resolution, int):
-            raise InvalidParamsError(f"resolution must be an integer, got {self.resolution!r}")
-        if self.resolution < 2:
-            raise InvalidParamsError(
-                f"resolution must be at least 2 samples per axis, got {self.resolution}"
-            )
+        object.__setattr__(
+            self, "resolution", _require_count(self.resolution, "resolution", minimum=2)
+        )
         levels = tuple(_require_finite(v, "contour_level") for v in self.contour_levels)
         object.__setattr__(self, "contour_levels", levels)
 
@@ -474,7 +466,7 @@ def _panel_svg(grid: MeasureGrid, spec: GridSpec, offset_x: float) -> list[str]:
     # right axis relabels the rr ticks with their PAR values.
     parts += _axis_svg(
         "par",
-        [(right, to_y(v), _tick_label(par(grid.prevalence, v))) for v in rr_ticks],
+        [(right, to_y(v), _tick_label(_par(grid.prevalence, v))) for v in rr_ticks],
         (0.0, 0.0, 4.0, 0.0, 7.0, 3.0, "start"),
         f'transform="translate({_px(right + 48)},{_px(y0 + _PANEL_HEIGHT / 2)}) rotate(90)"',
         "population-attributable risk (PAR)",
@@ -701,7 +693,7 @@ def grids_to_json(grids, spec: GridSpec) -> str:
         f',\n    "p0_max": {_json_float(spec.p0_max)}'
         f',\n    "rr_min": {_json_float(spec.rr_min)}'
         f',\n    "rr_max": {_json_float(spec.rr_max)}'
-        f',\n    "resolution": {int(spec.resolution)}'
+        f',\n    "resolution": {spec.resolution}'
         f',\n    "contour_levels": {levels}\n  }},\n  "grids": '
     ]
     _extend_json_array(parts, (_grid_json_parts(grid) for grid in grids), 2)

@@ -350,6 +350,21 @@ class TestSweep:
         assert len(lines) == 1 + 3 * 11 * 11
         assert json.loads(out)["results"]["files"] == [str(target)]
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("sweep", "--prevalences", "a"),
+            ("plot", "--levels", "0.5,x"),
+            ("sweep", "--prevalences", ","),
+        ],
+    )
+    def test_malformed_list_flag_exits_2(self, run_cli, argv):
+        code, out, err = run_cli(*argv)
+        assert code == 2
+        assert out == ""
+        assert f"expected a comma-separated list of numbers, got {argv[-1]!r}" in err
+        assert "_float_tuple" not in err
+
     def test_resolution_1_exits_2(self, run_cli):
         code, out, err = run_cli("sweep", "--resolution", "1")
         assert code == 2

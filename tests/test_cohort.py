@@ -82,6 +82,28 @@ class TestSimulationSpec:
         with pytest.raises(InvalidParamsError, match="at most"):
             make_spec(0.2, 0.1, 1.5, sys.maxsize + 1, 1)
 
+    @pytest.mark.parametrize(
+        "n, seed, message",
+        [
+            (1.5, 1, "n_subjects must be an integer, got 1.5"),
+            (True, 1, "n_subjects must be an integer, got True"),
+            (0, 1, "n_subjects must be at least 1, got 0"),
+            (10, "7", "seed must be an integer, got '7'"),
+            (10, False, "seed must be an integer, got False"),
+            (10, -1, "seed must be at least 0, got -1"),
+            (10, 2**64, f"seed must fit in 64 bits, got {2**64}"),
+        ],
+    )
+    def test_messages(self, n, seed, message):
+        with pytest.raises(InvalidParamsError) as excinfo:
+            make_spec(0.2, 0.1, 1.5, n, seed)
+        assert str(excinfo.value) == message
+
+    def test_numpy_integers_are_stored_as_int(self):
+        spec = make_spec(0.2, 0.1, 1.5, np.int64(10), np.uint64(2**64 - 1))
+        assert (spec.n_subjects, spec.seed) == (10, 2**64 - 1)
+        assert (type(spec.n_subjects), type(spec.seed)) == (int, int)
+
 
 class TestSimulateCohort:
     def test_golden_counts(self):

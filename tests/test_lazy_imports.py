@@ -166,3 +166,25 @@ def test_patched_cli_name_is_the_one_called(monkeypatch, tmp_path):
     assert cli.main(argv) == 0
     assert calls == [1]
     assert target.read_text() == "patched\n"
+
+
+def test_lazy_table_lists_the_numpy_backed_modules_in_order():
+    assert list(binaryrisk._LAZY) == cohort.__all__ + sweep.__all__
+    modules = {"cohort": cohort, "sweep": sweep}
+    for name, home in binaryrisk._LAZY.items():
+        assert name in modules[home].__all__, name
+
+
+def test_errors_all_lists_every_error_type():
+    defined = [
+        name
+        for name, value in vars(errors).items()
+        if isinstance(value, type)
+        and issubclass(value, errors.BinaryRiskError)
+        and value.__module__ == errors.__name__
+    ]
+    assert errors.__all__ == defined
+
+
+def test_cli_shares_the_package_lazy_table():
+    assert cli._LAZY is binaryrisk._LAZY

@@ -162,6 +162,10 @@ class TestPar:
         with pytest.raises(InvalidParamsError):
             par(0.2, -0.5)
 
+    def test_negative_rr_message(self):
+        with pytest.raises(InvalidParamsError, match="^rr must be positive, got -1.0$"):
+            par(0.2, -1.0)
+
 
 class TestCIndexForms:
     def test_three_term_example(self):

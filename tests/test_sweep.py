@@ -94,6 +94,28 @@ class TestGridSpec:
         with pytest.raises(InvalidParamsError):
             GridSpec(**kwargs)
 
+    def test_numpy_integer_resolution_is_stored_as_int(self):
+        resolution = GridSpec(resolution=np.int64(5)).resolution
+        assert resolution == 5
+        assert type(resolution) is int
+
+    @pytest.mark.parametrize(
+        "resolution, message",
+        [
+            (True, "resolution must be an integer, got True"),
+            (2.0, "resolution must be an integer, got 2.0"),
+            (1, "resolution must be at least 2, got 1"),
+        ],
+    )
+    def test_resolution_messages(self, resolution, message):
+        with pytest.raises(InvalidParamsError) as excinfo:
+            GridSpec(resolution=resolution)
+        assert str(excinfo.value) == message
+
+    def test_negative_rr_min_is_named(self):
+        with pytest.raises(InvalidParamsError, match="^rr_min must be positive, got -1.0$"):
+            GridSpec(rr_min=-1.0)
+
 
 def _per_cell_reference(spec, prevalence):
     """The grid as a loop of validated scenarios, one per unmasked cell."""
