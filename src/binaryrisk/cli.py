@@ -14,12 +14,19 @@ is an error rather than a silent change of the stdout contract.
 ``sweep`` and ``plot`` import the numpy-backed ``cohort`` and ``sweep`` on
 first use, so the first two never load numpy. The names taken from those
 two modules are the package's ``_LAZY`` table, the one list of them.
+
+``main(argv)`` may be called repeatedly in one process: it builds its
+parser on the first call and reuses it for every later one, so an
+embedding caller pays the argparse set-up once. Importing this module
+builds no parser, and a process that runs one command is unchanged.
+``build_parser()`` still returns a new parser on each call.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import math
@@ -354,10 +361,20 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser ``main`` uses, built on its first call.
+
+    It holds no per-call state: argparse looks up ``sys.stdout``,
+    ``sys.stderr`` and the terminal width when it prints, not when the
+    parser is built.
+    """
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         # argparse has already written its diagnostic; fold its exit code
         # into the 0/2 contract

@@ -120,16 +120,23 @@ def simulate_cohort(spec: SimulationSpec) -> CohortCounts:
     rng = np.random.Generator(np.random.PCG64(spec.seed))
     n = spec.n_subjects
     params = spec.params
-    exposed = rng.random(n) < params.f
-    diseased = rng.random(n) < np.where(exposed, params.p1, params.p0)
-    n_exposed_case = int(np.count_nonzero(exposed & diseased))
-    n_exposed_control = int(np.count_nonzero(exposed & ~diseased))
-    n_unexposed_case = int(np.count_nonzero(~exposed & diseased))
+    # both blocks go through one buffer: the exposure block is compared
+    # before the disease block overwrites it. A subject is a case when its
+    # disease uniform falls below the threshold of its exposure group.
+    draw = np.empty(n)
+    exposed = rng.random(n, out=draw) < params.f
+    rng.random(n, out=draw)
+    n_exposed = int(np.count_nonzero(exposed))
+    n_exposed_case = int(np.count_nonzero(exposed & (draw < params.p1)))
+    below_p0 = draw < params.p0
+    n_unexposed_case = int(np.count_nonzero(below_p0)) - int(
+        np.count_nonzero(exposed & below_p0)
+    )
     return CohortCounts(
         n_exposed_case=n_exposed_case,
-        n_exposed_control=n_exposed_control,
+        n_exposed_control=n_exposed - n_exposed_case,
         n_unexposed_case=n_unexposed_case,
-        n_unexposed_control=n - n_exposed_case - n_exposed_control - n_unexposed_case,
+        n_unexposed_control=n - n_exposed - n_unexposed_case,
     )
 
 

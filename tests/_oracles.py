@@ -2,8 +2,9 @@
 
 These deliberately avoid the library's float code paths: the measures are
 recomputed in exact rational arithmetic, the pairwise c statistic by
-explicit enumeration over the expanded cohort, and contour vertices are
-checked by a locally written bilinear interpolation.
+explicit enumeration over the expanded cohort, the cohort counts by a
+per-subject threshold tabulation of the documented draw, and contour
+vertices are checked by a locally written bilinear interpolation.
 """
 
 import math
@@ -66,6 +67,26 @@ def pairwise_c_enumerated(counts):
             elif case_exposed == control_exposed:
                 total += 0.5
     return total / (len(cases) * len(controls))
+
+
+def tabulate_cohort(f, p0, rr, n, seed):
+    """The 2x2 counts of the documented cohort draw, tabulated per subject.
+
+    PCG64 seeded with ``seed`` gives a block of n exposure uniforms, then
+    a block of n disease uniforms. Each subject gets its own disease
+    threshold (p1 = rr * p0 if exposed, p0 otherwise), and all four cells
+    are counted from the two boolean columns. Returns the counts as
+    (exposed case, exposed control, unexposed case, unexposed control).
+    """
+    rng = np.random.Generator(np.random.PCG64(seed))
+    exposed = rng.random(n) < f
+    diseased = rng.random(n) < np.where(exposed, rr * p0, p0)
+    return (
+        int(np.count_nonzero(exposed & diseased)),
+        int(np.count_nonzero(exposed & ~diseased)),
+        int(np.count_nonzero(~exposed & diseased)),
+        int(np.count_nonzero(~exposed & ~diseased)),
+    )
 
 
 def bilinear_c(grid, x, y):

@@ -5,7 +5,8 @@ import xml.etree.ElementTree as ET
 
 import pytest
 
-from binaryrisk.cli import main
+from binaryrisk import cli
+from binaryrisk.cli import build_parser, main
 
 from _oracles import meets_solver_contract
 
@@ -468,3 +469,45 @@ class TestEntryPoints:
         assert completed.returncode == 2
         assert completed.stdout == ""
         assert "rr*p0" in completed.stderr
+
+
+class TestReusedParser:
+    """``main`` builds its parser once per process; no call may see another's state."""
+
+    def test_every_call_repeats_its_first_result(self, run_cli, tmp_path):
+        cli._parser.cache_clear()
+        sequence = [
+            ("compute", "--f", "0.2", "--p0", "0.1", "--rr", "1.5"),
+            ("compute", "--f", "0.2", "--p0", "0.1"),
+            ("--help",),
+            ("compute", "--help"),
+            ("compute", "--f", "0.5", "--p0", "0.8", "--rr", "1.5"),
+            ("compute", "--f", "0.2", "--p0", "0.1", "--rr", "1.5",
+             "--out", str(tmp_path / "missing" / "measures.json")),
+        ]
+        first = [run_cli(*argv) for argv in sequence]
+        assert [code for code, _, _ in first] == [0, 2, 0, 0, 2, 3]
+        assert [run_cli(*argv) for argv in sequence + sequence[:1]] == first + first[:1]
+
+    def test_help_follows_the_terminal_width_of_each_call(self, run_cli, monkeypatch, capsys):
+        helps = []
+        for columns in ("40", "160", "40"):
+            monkeypatch.setenv("COLUMNS", columns)
+            code, out, _ = run_cli("compute", "--help")
+            with pytest.raises(SystemExit):
+                build_parser().parse_args(["compute", "--help"])
+            assert code == 0
+            assert out == capsys.readouterr().out
+            helps.append(out)
+        assert helps[0] != helps[1]
+        assert helps[0] == helps[2]
+
+    def test_build_parser_returns_a_new_parser(self, run_cli):
+        parser = build_parser()
+        assert parser is not build_parser()
+        parser.add_argument("--extra")
+        code, out, _ = run_cli("--extra", "1", "compute", "--f", "0.2", "--p0", "0.1",
+                               "--rr", "1.5")
+        assert (code, out) == (2, "")
+        assert "--extra" in parser.format_help()
+        assert "--extra" not in run_cli("--help")[1]

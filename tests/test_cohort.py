@@ -23,7 +23,7 @@ from binaryrisk import (
     simulate_cohort,
 )
 
-from _oracles import pairwise_c_enumerated
+from _oracles import pairwise_c_enumerated, tabulate_cohort
 
 # Golden counts for the reference scenario, pinned from the documented
 # generator (PCG64, exposure block then disease block). Any change to the
@@ -37,6 +37,19 @@ GOLDEN_COUNTS = CohortCounts(
 )
 
 C_INDEX_02 = 0.5408580183861083  # closed form at (f=0.2, p0=0.1, rr=1.5)
+
+# (f, p0, rr) scenarios checked against the per-subject tabulation oracle:
+# the reference scenario, a protective factor, p1 = rr*p0 = 1 exactly,
+# and exposure prevalences next to 0 and next to 1.
+STREAM_SCENARIOS = [
+    (0.2, 0.1, 1.5),
+    (0.3, 0.2, 0.5),
+    (0.5, 0.25, 4.0),
+    (1e-6, 0.1, 2.0),
+    (1.0 - 1e-6, 0.1, 2.0),
+]
+STREAM_SIZES = [1, 2, 3, 65537, 200003]
+STREAM_SEEDS = [0, 2**64 - 1]
 
 
 def make_spec(f, p0, rr, n, seed):
@@ -125,6 +138,18 @@ class TestSimulateCohort:
         a = simulate_cohort(make_spec(0.3, 0.05, 2.0, 50000, 1))
         b = simulate_cohort(make_spec(0.3, 0.05, 2.0, 50000, 2))
         assert a != b
+
+    @pytest.mark.parametrize("seed", STREAM_SEEDS)
+    @pytest.mark.parametrize("n", STREAM_SIZES)
+    @pytest.mark.parametrize("f, p0, rr", STREAM_SCENARIOS)
+    def test_counts_match_per_subject_tabulation(self, f, p0, rr, n, seed):
+        counts = simulate_cohort(make_spec(f, p0, rr, n, seed))
+        assert (
+            counts.n_exposed_case,
+            counts.n_exposed_control,
+            counts.n_unexposed_case,
+            counts.n_unexposed_control,
+        ) == tabulate_cohort(f, p0, rr, n, seed)
 
     @pytest.mark.parametrize("seed", [0, 7, 99])
     def test_single_subject_lands_in_one_cell(self, seed):

@@ -2,8 +2,10 @@
 
 ``compute`` and ``solve`` are pure-Python closed forms, so neither the
 package nor the CLI imports ``binaryrisk.cohort``, ``binaryrisk.sweep`` or
-numpy until a caller needs them. The import-state checks run in a fresh
-interpreter, because this test process has imported numpy already.
+numpy until a caller needs them. Likewise the CLI builds its argparse
+parser on the first ``main()`` call, not at import, and only once. The
+import-state checks run in a fresh interpreter, because this test process
+has imported numpy already.
 """
 
 import json
@@ -106,6 +108,41 @@ def test_compute_and_solve_never_load_numpy(tmp_path):
     assert heavy[-1][2] == list(HEAVY)
     assert (tmp_path / "grids.json").exists()
     assert (tmp_path / "figure.svg").exists()
+
+
+# Counts the argparse parsers made at import, after each of two main()
+# calls, and by one build_parser() call, through a wrapper installed
+# before binaryrisk is imported.
+PARSER_COUNT_SCRIPT = """
+import argparse, contextlib, io, json
+
+made = []
+init = argparse.ArgumentParser.__init__
+
+def counting_init(self, *args, **kwargs):
+    made.append(1)
+    init(self, *args, **kwargs)
+
+argparse.ArgumentParser.__init__ = counting_init
+counts = []
+import binaryrisk.cli as cli
+counts.append(len(made))
+for argv in {argvs!r}:
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.main(argv) == 0
+    counts.append(len(made))
+cli.build_parser()
+counts.append(len(made) - counts[-1])
+print(json.dumps(counts))
+"""
+
+
+def test_parser_is_built_once_on_first_main(tmp_path):
+    script = PARSER_COUNT_SCRIPT.format(argvs=LIGHT[:2])
+    at_import, after_first, after_second, per_build = json.loads(_run_fresh(script, tmp_path))
+    assert at_import == 0
+    assert after_first == per_build > 0
+    assert after_second == after_first
 
 
 def test_submodules_and_dir_resolve_in_a_fresh_interpreter(tmp_path):
