@@ -16,8 +16,11 @@ infinite. All levels of a grid come from one span-space pass: each valid
 cell's corner minimum and maximum are taken once, and a ``searchsorted``
 of the sorted levels against them yields every (cell, level) crossing,
 so the work grows with the crossings rather than with levels times
-cells. Only the chaining of segments into polylines walks them one at a
-time.
+cells. Segments are chained into polylines a strand at a time: away from
+ties every node joins two segments, so list ranking over all levels of a
+panel at once lays out each run of such nodes in walk order, and the
+Python walk visits only the ends of those runs. The figure writes each
+level's paths with one ``%`` operation over its vertices.
 
 The JSON and CSV exporters write each lattice row with one ``%``
 operation over its unmasked values, through a template that already
@@ -228,8 +231,15 @@ for _key, _pairs in _SEGMENT_TABLE.items():
 del _key, _pairs
 
 
-def _contour_polylines(grid: MeasureGrid, levels) -> list[list[list[tuple[float, float]]]]:
-    """The polylines of every level in ``levels``, one list per level, in order.
+def _contour_polylines(
+    grid: MeasureGrid, levels
+) -> list[tuple[np.ndarray, np.ndarray, list[int]]]:
+    """The polylines of every level in ``levels``, one entry per level, in order.
+
+    Each entry is ``(x, y, bounds)``: the level's vertices in walk order,
+    and the offsets at which its polylines start, closed by ``x.size``;
+    polyline ``k`` is ``x[bounds[k]:bounds[k + 1]]`` paired with the same
+    stretch of ``y``.
 
     A cell crosses a level exactly when its lowest corner lies at or below
     the level and its highest corner above it, so a ``searchsorted`` of each
@@ -295,71 +305,199 @@ def _contour_polylines(grid: MeasureGrid, levels) -> list[list[list[tuple[float,
     y = rr_axis[ia] + t * (rr_axis[ib] - rr_axis[ia])
     distinct = (x[:, 0] != x[:, 1]) | (y[:, 0] != y[:, 1])
     x, y = x[distinct], y[distinct]
-    bounds = np.searchsorted(rank[cell[distinct]], np.arange(ladder.size + 1)).tolist()
+    bounds = np.searchsorted(rank[cell[distinct]], np.arange(ladder.size + 1))
     polylines = [None] * ladder.size
-    for k, level_slot in enumerate(by_value.tolist()):
-        start, stop = bounds[k], bounds[k + 1]
-        polylines[level_slot] = _stitch(x[start:stop], y[start:stop])
+    for level_slot, vertices in zip(by_value.tolist(), _stitch(x, y, bounds)):
+        polylines[level_slot] = vertices
     return [polylines[k] for k in slot_of.tolist()]
 
 
-def _stitch(x, y) -> list[list[tuple[float, float]]]:
-    """Join segments sharing endpoints into polylines, deterministically.
+def _list_rank(succ: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per element: the last element of its list, and how many steps away it is.
 
-    Endpoint ``e`` of segment ``e // 2`` sits at ``(x.flat[e], y.flat[e])``.
-    Equal coordinates make one node; nodes are numbered in ascending (x, y)
-    order. Chains start at odd-degree nodes first, then at any node with a
-    segment left, each in ascending order, and every step takes the
-    current node's first unused segment.
+    ``succ[d]`` is the element after ``d``, or -1 where a list ends. Pointer
+    jumping (Wyllie 1979) doubles every element's reach per pass, so lists
+    of length L take about log2(L) vector passes. An element on a cycle
+    never reaches an end: the element returned for it still has a successor.
+    """
+    n = succ.size
+    last = np.where(succ < 0, np.arange(n), succ)
+    dist = (succ >= 0).astype(np.intp)
+    for _ in range(n.bit_length()):
+        hop = last[last]
+        if np.array_equal(hop, last):
+            break
+        dist += dist[last]
+        last = hop
+    return last, dist
+
+
+def _stitch(x, y, bounds) -> list[tuple[np.ndarray, np.ndarray, list[int]]]:
+    """Join each level's segments sharing endpoints into polylines, deterministically.
+
+    Rows ``bounds[k]:bounds[k + 1]`` of ``x`` and ``y``, one segment each,
+    belong to level ``k``; endpoint ``e`` of segment ``e // 2`` sits at
+    ``(x.flat[e], y.flat[e])``. Within a level, equal coordinates make one
+    node; nodes are numbered in ascending (level, x, y) order. Chains start
+    at odd-degree nodes first, then at any node with a segment left, each in
+    ascending order, and every step takes the current node's first unused
+    segment.
+
+    A node of degree 2 lets the walk go on one way only, so its route along
+    a strand, a run of segments joined at such nodes, is fixed beforehand:
+    list ranking lays out every strand's endpoints in walk order in a few
+    vector passes, and the walk below steps a strand at a time. It halts
+    only at nodes of another degree and at the smallest node inside each
+    strand, the one inner node where a chain can start; such a chain ends
+    when it comes back to that node. A strand without ends, a loop of
+    degree-2 nodes, is cut there.
+
+    Returns, per level, ``(x, y, offsets)``: the vertices of its polylines
+    in walk order, and the offsets at which they start, closed by the end.
     """
     xs, ys = x.ravel(), y.ravel()
-    if xs.size == 0:
-        return []
+    n = xs.size
+    levels = len(bounds) - 1
+    if n == 0:
+        return [(xs, ys, [0]) for _ in range(levels)]
+    # small integers: their stable sort is a radix sort
+    level_of = np.repeat(np.arange(levels, dtype=np.min_scalar_type(levels)), 2 * np.diff(bounds))
     # a stable sort: each node's endpoints stay in segment order
-    order = np.lexsort((ys, xs))
-    sx, sy = xs[order], ys[order]
-    first = np.empty(order.size, dtype=bool)
-    first[0] = True
-    first[1:] = (sx[1:] != sx[:-1]) | (sy[1:] != sy[:-1])
-    node_of = np.empty(order.size, dtype=np.intp)
-    node_of[order] = np.cumsum(first) - 1
+    order = np.lexsort((ys, xs, level_of))
+    sx, sy, sl = xs[order], ys[order], level_of[order]
+    first = np.ones(n, dtype=bool)
+    first[1:] = (sx[1:] != sx[:-1]) | (sy[1:] != sy[:-1]) | (sl[1:] != sl[:-1])
+    node_at = np.cumsum(first) - 1
+    node_of = np.empty(n, dtype=np.intp)
+    node_of[order] = node_at
     starts = np.flatnonzero(first)
-    stops = np.append(starts[1:], order.size)
-    odd = np.flatnonzero((stops - starts) % 2 == 1)
+    nodes = starts.size
+    degree = np.diff(starts, append=n)
+    inner = degree == 2
+    # The walk leaves a node by an endpoint d and reaches the far end of its
+    # segment, endpoint d ^ 1. At a node of degree 2 it goes on by the
+    # node's other endpoint: succ[d] is that endpoint, or -1.
+    partner = np.full(n, -1, dtype=np.intp)
+    pair = starts[inner]
+    partner[order[pair]] = order[pair + 1]
+    partner[order[pair + 1]] = order[pair]
+    succ = partner[np.arange(n) ^ 1]
+    last, dist = _list_rank(succ)
+    cyclic = succ[last] >= 0
+    if cyclic.any():
+        # Cut each loop at its smallest node, before both of the endpoints
+        # there; its chain leaves by the one first in node order.
+        label = np.empty(n, dtype=np.intp)
+        label[order] = np.arange(n)
+        low = np.where(cyclic, label, n)
+        hop = np.where(cyclic, succ, np.arange(n))
+        for _ in range(n.bit_length()):
+            low = np.minimum(low, low[hop])
+            hop = hop[hop]
+        succ[partner[cyclic & (low == label)] ^ 1] = -1
+        last, dist = _list_rank(succ)
+    # each strand's endpoints side by side, in walk order
+    length = np.bincount(last, minlength=n)
+    head = np.cumsum(length) - length
+    pos = head[last] + length[last] - 1 - dist
+    seq = np.empty(n, dtype=np.intp)
+    seq[pos] = np.arange(n)
 
-    points = list(zip(xs.tolist(), ys.tolist()))
-    incidence = order.tolist()
-    node_of = node_of.tolist()
-    starts = starts.tolist()
-    stops = stops.tolist()
-    cursor = list(starts)
-    used = bytearray(xs.size // 2)
+    # The walk halts at the nodes of degree other than 2 and at the smallest
+    # inner node of each strand; below they are numbered 0, 1, ... in node
+    # order, and their endpoints are listed in node order.
+    inside = node_of[seq]
+    inside[~inner[inside]] = nodes
+    lowest = np.minimum.reduceat(inside, head[length > 0])
+    halt = ~inner
+    halt[lowest[lowest < nodes]] = True
+    halts = np.flatnonzero(halt)
+    halt_id = np.cumsum(halt) - 1
+    at = np.flatnonzero(halt[node_at])
+    endpoint = order[at]
+    first_at = np.searchsorted(at, starts[halts])
+    halt_bounds = np.searchsorted(halts, np.searchsorted(sl[starts], np.arange(levels + 1)))
+    odd = halt_id[np.flatnonzero(degree % 2 == 1)]
+    odd_cut = np.searchsorted(odd, halt_bounds).tolist()
+    # per endpoint: the first and last positions of the strand it leaves
+    # by, the strand's last segment, and the halt that segment reaches
+    stop = pos[last[endpoint]]
+    step = list(
+        zip(
+            pos[endpoint].tolist(),
+            stop.tolist(),
+            (seq[stop] >> 1).tolist(),
+            halt_id[node_of[seq[stop] ^ 1]].tolist(),
+        )
+    )
+    # Per inner halt: the first segment of its strand, used once any chain
+    # has passed that way, and the position and segment by which a chain
+    # that starts at the halt comes back to it.
+    inner_halts = np.flatnonzero(inner[halts])
+    leave = order[starts[halts[inner_halts]]]
+    back = partner[leave] ^ 1
+    loops = dict(
+        zip(
+            inner_halts.tolist(),
+            zip((seq[head[last[leave]]] >> 1).tolist(), pos[back].tolist(), (back >> 1).tolist()),
+        )
+    )
+
+    odd = odd.tolist()
+    halt_bounds = halt_bounds.tolist()
+    cursor = first_at.tolist()
+    halt_stops = (first_at + degree[halts]).tolist()
+    segment = (endpoint >> 1).tolist()
+    opening = (n + order[starts[halts]]).tolist()
+    used = bytearray(n // 2)
 
     def next_endpoint(node: int) -> int:
-        """The node's first endpoint on an unused segment, or -1."""
-        k, stop = cursor[node], stops[node]
-        while k < stop and used[incidence[k] >> 1]:
+        """Where the node's first endpoint on an unused segment is listed, or -1."""
+        k, stop = cursor[node], halt_stops[node]
+        while k < stop and used[segment[k]]:
             k += 1
         cursor[node] = k
-        return incidence[k] if k < stop else -1
+        return k if k < stop else -1
 
-    polylines = []
-    # open chains first, anchored at odd-degree nodes, then cycles
-    for start in odd.tolist() + list(range(len(starts))):
-        endpoint = next_endpoint(start)
-        while endpoint >= 0:
-            # Vertices are endpoint tuples, not one tuple per node: equal
-            # points can differ in the sign of a zero. A chain opens with its
-            # node's first endpoint; each step adds the endpoint it reaches.
-            path = [points[incidence[starts[start]]]]
-            while endpoint >= 0:
-                used[endpoint >> 1] = 1
-                other = endpoint ^ 1
-                path.append(points[other])
-                endpoint = next_endpoint(node_of[other])
-            polylines.append(path)
-            endpoint = next_endpoint(start)
-    return polylines
+    # Vertices are read from ``source``: the endpoints each strand reaches,
+    # in layout order, then every endpoint, for the one each chain opens with
+    # (equal points can differ in the sign of a zero).
+    lo, width, count = [], [], 0
+    level_offsets = []
+    for level in range(levels):
+        offsets = [count]
+        # open chains first, anchored at odd-degree nodes, then cycles
+        anchors = odd[odd_cut[level] : odd_cut[level + 1]]
+        for start in anchors + list(range(halt_bounds[level], halt_bounds[level + 1])):
+            guard, back_at, back_segment = loops.get(start, (-1, -1, -1))
+            if guard >= 0 and used[guard]:
+                continue
+            k_at = next_endpoint(start)
+            while k_at >= 0:
+                lo.append(opening[start])
+                width.append(1)
+                count += 1
+                while k_at >= 0:
+                    a, b, final, node = step[k_at]
+                    if a <= back_at <= b:
+                        b, final, node = back_at, back_segment, start
+                    used[segment[k_at]] = 1
+                    used[final] = 1
+                    lo.append(a)
+                    width.append(b + 1 - a)
+                    count += b + 1 - a
+                    k_at = next_endpoint(node)
+                offsets.append(count)
+                k_at = next_endpoint(start)
+        level_offsets.append(offsets)
+    source = np.concatenate((seq ^ 1, np.arange(n)))
+    lo = np.array(lo, dtype=np.intp)
+    width = np.array(width, dtype=np.intp)
+    vertex = source[np.arange(count) + np.repeat(lo - (np.cumsum(width) - width), width)]
+    xs, ys = xs[vertex], ys[vertex]
+    return [
+        (xs[a[0] : a[-1]], ys[a[0] : a[-1]], [k - a[0] for k in a]) for a in level_offsets
+    ]
 
 
 def extract_contours(grid: MeasureGrid, level) -> ContourSet:
@@ -373,7 +511,9 @@ def extract_contours(grid: MeasureGrid, level) -> ContourSet:
     if not isinstance(grid, MeasureGrid):
         raise InvalidParamsError(f"grid must be a MeasureGrid, got {type(grid).__name__}")
     level = _require_finite(level, "level")
-    polylines = tuple(tuple(path) for path in _contour_polylines(grid, (level,))[0])
+    x, y, bounds = _contour_polylines(grid, (level,))[0]
+    points = list(zip(x.tolist(), y.tolist()))
+    polylines = tuple(tuple(points[a:b]) for a, b in zip(bounds, bounds[1:]))
     return ContourSet(level=level, polylines=polylines)
 
 
@@ -474,25 +614,26 @@ def _panel_svg(grid: MeasureGrid, spec: GridSpec, offset_x: float) -> list[str]:
 
     parts.append('<g class="contours">')
     levels = spec.contour_levels
-    for level, polylines in zip(levels, _contour_polylines(grid, levels)):
-        if not polylines:
+    for level, (x, y, bounds) in zip(levels, _contour_polylines(grid, levels)):
+        if not x.size:
             continue
         parts.append(f'<g class="level" data-level="{_tick_label(level)}">')
-        # to_x and to_y over every vertex of the level at once
-        xy = np.array([point for polyline in polylines for point in polyline])
-        px = (x0 + (xy[:, 0] - spec.p0_min) / p0_span * _PANEL_WIDTH).tolist()
-        py = (y0 + _PANEL_HEIGHT - (xy[:, 1] - spec.rr_min) / rr_span * _PANEL_HEIGHT).tolist()
-        vertices = [f"{x:.2f} {y:.2f}" for x, y in zip(px, py)]
-        start = 0
-        for polyline in polylines:
-            stop = start + len(polyline)
-            parts.append(f'<path class="contour" d="M {" L ".join(vertices[start:stop])}"/>')
-            start = stop
-        longest = max(polylines, key=len)
-        label_x, label_y = longest[len(longest) // 2]
+        # to_x and to_y over every vertex of the level at once, interleaved
+        xy = np.empty(2 * x.size)
+        xy[0::2] = x0 + (x - spec.p0_min) / p0_span * _PANEL_WIDTH
+        xy[1::2] = y0 + _PANEL_HEIGHT - (y - spec.rr_min) / rr_span * _PANEL_HEIGHT
+        sizes = [b - a for a, b in zip(bounds, bounds[1:])]
+        # one "%" writes every path of the level; "%.2f" % v == f"{v:.2f}"
+        template = "\n".join(
+            '<path class="contour" d="M %.2f %.2f' + " L %.2f %.2f" * (m - 1) + '"/>'
+            for m in sizes
+        )
+        parts.append(template % tuple(xy.tolist()))
+        longest = sizes.index(max(sizes))
+        middle = bounds[longest] + sizes[longest] // 2
         parts.append(
-            f'<text class="contour-label" x="{_px(to_x(label_x) + 2)}" '
-            f'y="{_px(to_y(label_y) - 2)}">{_tick_label(level)}</text>'
+            f'<text class="contour-label" x="{_px(to_x(float(x[middle])) + 2)}" '
+            f'y="{_px(to_y(float(y[middle])) - 2)}">{_tick_label(level)}</text>'
         )
         parts.append("</g>")
     parts.append("</g>")

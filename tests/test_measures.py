@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -202,6 +203,39 @@ class TestCIndexForms:
         assert abs(
             c_index_three_term(f_cases, f_controls) - c_index_closed(f_cases, f_controls)
         ) <= TOL
+
+
+class TestPaperClaimIdentities:
+    """The README's two identities, in exact arithmetic on rational scenarios.
+
+    With P = f*p1 + (1-f)*p0 the overall incidence, c - 1/2 equals
+    (1/2)*(1-f)*PAR/(1-P), and f_cases equals f*rr/(1 + f*(rr-1)). These
+    check the documented algebra through the rational oracle, not the
+    float kernel.
+    """
+
+    @staticmethod
+    def _excess_c(f, p0, rr):
+        par_value = f * (rr - 1) / (f * (rr - 1) + 1)
+        incidence = f * rr * p0 + (1 - f) * p0
+        return Fraction(1, 2) * (1 - f) * par_value / (1 - incidence)
+
+    def test_identities_hold_exactly(self):
+        rng = np.random.Generator(np.random.PCG64(2013))
+        for _ in range(300):
+            f = Fraction(int(rng.integers(1, 1000)), 1000)
+            p0 = Fraction(int(rng.integers(1, 1000)), 1000)
+            # rr from 0.01 up to the feasible 1/p0, endpoint included
+            rr = Fraction(int(rng.integers(1, int(100 / p0) + 1)), 100)
+            exact = derive_exact(f, p0, rr)
+            assert exact["c_index"] - Fraction(1, 2) == self._excess_c(f, p0, rr)
+            assert exact["f_cases"] == f * rr / (1 + f * (rr - 1))
+
+    @pytest.mark.parametrize("f, c_index", [("0.2", C_INDEX_02), ("0.5", C_INDEX_05)])
+    def test_criterion_2_maxima_from_the_identity(self, f, c_index):
+        # at rr = 1.5 and p0 = 0.10: 0.5408580183861083 and 0.5571428571428572
+        excess = self._excess_c(Fraction(f), Fraction("0.10"), Fraction("1.5"))
+        assert float(Fraction(1, 2) + excess) == c_index
 
 
 class TestDeriveMeasures:

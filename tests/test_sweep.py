@@ -456,6 +456,19 @@ def _packed(contour_set):
     ]
 
 
+def _level_contour(level, vertices):
+    """One level of ``_contour_polylines`` as a ContourSet.
+
+    ``vertices`` is ``(x, y, bounds)``: polyline ``k`` pairs
+    ``x[bounds[k]:bounds[k + 1]]`` with the same stretch of ``y``.
+    """
+    x, y, bounds = vertices
+    points = list(zip(x.tolist(), y.tolist()))
+    return ContourSet(
+        level=level, polylines=tuple(tuple(points[a:b]) for a, b in zip(bounds, bounds[1:]))
+    )
+
+
 def _assert_same_contours(grid, level):
     contour = extract_contours(grid, level)
     assert _packed(contour) == _packed(_reference_extract_contours(grid, level))
@@ -473,10 +486,10 @@ def _node_degrees(contour_set):
 
 
 @st.composite
-def _small_grids(draw):
+def _small_grids(draw, elements=(0.0, 0.25, 0.5, 0.75, 1.0), max_side=5):
     """Values from a short list that holds the level 0.5, and a mask."""
-    shape = draw(array_shapes(min_dims=2, max_dims=2, min_side=2, max_side=5))
-    values = draw(arrays(np.float64, shape, elements=st.sampled_from([0.0, 0.25, 0.5, 0.75, 1.0])))
+    shape = draw(array_shapes(min_dims=2, max_dims=2, min_side=2, max_side=max_side))
+    values = draw(arrays(np.float64, shape, elements=st.sampled_from(elements)))
     return values, draw(arrays(np.bool_, shape))
 
 
@@ -525,6 +538,41 @@ class TestContourByteIdentity:
         contour = _assert_same_contours(grid, 0.5)
         assert max(_node_degrees(contour).values()) == 4
 
+    def test_figure_eight_starts_inside_a_strand(self):
+        # Two islands above 0.5 touch at a node equal to the level: their
+        # loops meet there in a node of degree 4. The smallest node, the
+        # left loop's leftmost, has degree 2, so the walk starts inside the
+        # strand that leaves the degree-4 node and comes back to it.
+        grid = _synthetic_grid(
+            [[0.0, 0.0, 0.0, 0.0, 0.0], [0.0, 1.0, 0.5, 1.0, 0.0], [0.0, 0.0, 0.0, 0.0, 0.0]]
+        )
+        contour = _assert_same_contours(grid, 0.5)
+        degree = _node_degrees(contour)
+        assert sorted(degree.values()) == [2] * 6 + [4]
+        assert degree[min(degree)] == 2
+
+    def test_closed_loop_direction_follows_the_smallest_nodes_first_endpoint(self):
+        # A diamond of four degree-2 nodes around one island. The leftmost
+        # node's first endpoint, in segment order, is on the lower-left
+        # cell's segment, so the loop runs from there down, not up.
+        grid = _synthetic_grid([[0.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 0.0]])
+        contour = _assert_same_contours(grid, 0.5)
+        (loop,) = contour.polylines
+        assert len(loop) == 5 and loop[0] == loop[-1] == min(loop)
+        assert loop[1][1] < loop[0][1] < loop[3][1]
+
+    # values from {0, 0.5, 1}: at levels 0.5, 0.0 and 1.0 many crossings
+    # land on lattice nodes and merge there
+    @given(_small_grids((0.0, 0.5, 1.0), max_side=12))
+    def test_tied_grids_property(self, drawn):
+        values, mask = drawn
+        levels = (0.5, 0.0, 1.0)
+        for grid in (_synthetic_grid(values), _synthetic_grid(values, mask)):
+            for level, vertices in zip(levels, _contour_polylines(grid, levels)):
+                expected = _reference_extract_contours(grid, level)
+                assert _packed(_level_contour(level, vertices)) == _packed(expected)
+                assert _packed(extract_contours(grid, level)) == _packed(expected)
+
     @pytest.mark.parametrize("corners", [[[1.0, 0.0], [0.0, 1.0]], [[0.0, 1.0], [1.0, 0.0]]])
     @pytest.mark.parametrize("level", [0.4, 0.5, 0.6])
     def test_saddle_orientations(self, corners, level):
@@ -552,8 +600,8 @@ class TestContourByteIdentity:
         levels = data.draw(_level_lists(grid.c_values))
         polylines = _contour_polylines(grid, levels)
         assert len(polylines) == len(levels)
-        for level, paths in zip(levels, polylines):
-            contour = ContourSet(level=level, polylines=tuple(tuple(p) for p in paths))
+        for level, vertices in zip(levels, polylines):
+            contour = _level_contour(level, vertices)
             assert _packed(contour) == _packed(_reference_extract_contours(reference_grid, level))
 
     @pytest.mark.parametrize("levels", [[0.0, -0.0], [-0.0, 0.0]])
@@ -567,8 +615,8 @@ class TestContourByteIdentity:
             par_axis=[0.0, 0.0],
             mask=np.zeros((2, 2), dtype=bool),
         )
-        for level, paths in zip(levels, _contour_polylines(grid, levels)):
-            contour = ContourSet(level=level, polylines=tuple(tuple(p) for p in paths))
+        for level, vertices in zip(levels, _contour_polylines(grid, levels)):
+            contour = _level_contour(level, vertices)
             assert _packed(contour) == _packed(_reference_extract_contours(grid, level))
 
 
