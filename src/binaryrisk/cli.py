@@ -29,7 +29,6 @@ import csv
 import functools
 import io
 import json
-import math
 import sys
 from dataclasses import asdict
 from importlib import import_module
@@ -38,6 +37,7 @@ from . import _LAZY
 from .errors import BinaryRiskError, DegenerateScenarioError, InvalidParamsError
 from .measures import (
     PopulationParams,
+    _require_finite,
     derive_measures,
     par,
     rr_for_target_c,
@@ -153,10 +153,9 @@ def _cmd_solve(args) -> int:
     warnings = []
     if has_par:
         # unused here, but still echoed in the envelope, which admits no NaN/inf
-        for name in ("p0", "tolerance"):
-            value = getattr(args, name)
-            if value is not None and not math.isfinite(value):
-                raise InvalidParamsError(f"{name} must be finite, got {value}")
+        for name, value in (("p0", args.p0), ("tolerance", args.tolerance)):
+            if value is not None:
+                _require_finite(value, name)
         if args.p0 is not None:
             warnings.append("p0 is not used when solving for a target PAR")
         if args.tolerance is not None:

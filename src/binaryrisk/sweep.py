@@ -16,10 +16,12 @@ infinite. All levels of a grid come from one span-space pass: each valid
 cell's corner minimum and maximum are taken once, and a ``searchsorted``
 of the sorted levels against them yields every (cell, level) crossing,
 so the work grows with the crossings rather than with levels times
-cells. Segments are chained into polylines a strand at a time: away from
+cells. Segments are chained into polylines a run at a time: away from
 ties every node joins two segments, so list ranking over all levels of a
-panel at once lays out each run of such nodes in walk order, and the
-Python walk visits only the ends of those runs. The figure writes each
+panel at once lays out each strand of such nodes in walk order. The
+Python walk halts only at nodes of degree other than 2 and at each
+strand's smallest inner node, and every run, one step of the walk along
+a strand, ends at the first halt it reaches. The figure writes each
 level's paths with one ``%`` operation over its vertices.
 
 The JSON and CSV exporters write each lattice row with one ``%``
@@ -125,8 +127,12 @@ class MeasureGrid:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "prevalence", _require_prob(self.prevalence, "prevalence", open_interval=True))
-        object.__setattr__(self, "p0_axis", np.asarray(self.p0_axis, dtype=float))
-        object.__setattr__(self, "rr_axis", np.asarray(self.rr_axis, dtype=float))
+        for name in ("p0_axis", "rr_axis"):
+            axis = np.asarray(getattr(self, name), dtype=float)
+            bad = axis[~np.isfinite(axis)]
+            if bad.size:
+                raise InvalidParamsError(f"{name} must be finite, got {bad[0]}")
+            object.__setattr__(self, name, axis)
         object.__setattr__(self, "c_values", np.asarray(self.c_values, dtype=float))
         object.__setattr__(self, "par_axis", np.asarray(self.par_axis, dtype=float))
         object.__setattr__(self, "mask", np.asarray(self.mask, dtype=bool))
@@ -344,13 +350,13 @@ def _stitch(x, y, bounds) -> list[tuple[np.ndarray, np.ndarray, list[int]]]:
     segment.
 
     A node of degree 2 lets the walk go on one way only, so its route along
-    a strand, a run of segments joined at such nodes, is fixed beforehand:
+    a strand, a string of segments joined at such nodes, is fixed beforehand:
     list ranking lays out every strand's endpoints in walk order in a few
-    vector passes, and the walk below steps a strand at a time. It halts
-    only at nodes of another degree and at the smallest node inside each
-    strand, the one inner node where a chain can start; such a chain ends
-    when it comes back to that node. A strand without ends, a loop of
-    degree-2 nodes, is cut there.
+    vector passes, and the walk below steps a run at a time. It halts at
+    the nodes of degree other than 2 and at the smallest inner node of each
+    strand, the one inner node where a chain can start, and every run ends
+    at the first halt it reaches. A strand without ends, a loop of degree-2
+    nodes, is cut at that smallest node.
 
     Returns, per level, ``(x, y, offsets)``: the vertices of its polylines
     in walk order, and the offsets at which they start, closed by the end.
@@ -419,27 +425,16 @@ def _stitch(x, y, bounds) -> list[tuple[np.ndarray, np.ndarray, list[int]]]:
     halt_bounds = np.searchsorted(halts, np.searchsorted(sl[starts], np.arange(levels + 1)))
     odd = halt_id[np.flatnonzero(degree % 2 == 1)]
     odd_cut = np.searchsorted(odd, halt_bounds).tolist()
-    # per endpoint: the first and last positions of the strand it leaves
-    # by, the strand's last segment, and the halt that segment reaches
-    stop = pos[last[endpoint]]
+    # per endpoint: the first and last positions of its run, up to the
+    # first halt the strand reaches, the run's last segment, and that halt
+    arrive = np.flatnonzero(halt[node_of[seq ^ 1]])
+    stop = arrive[np.searchsorted(arrive, pos[endpoint])]
     step = list(
         zip(
             pos[endpoint].tolist(),
             stop.tolist(),
             (seq[stop] >> 1).tolist(),
             halt_id[node_of[seq[stop] ^ 1]].tolist(),
-        )
-    )
-    # Per inner halt: the first segment of its strand, used once any chain
-    # has passed that way, and the position and segment by which a chain
-    # that starts at the halt comes back to it.
-    inner_halts = np.flatnonzero(inner[halts])
-    leave = order[starts[halts[inner_halts]]]
-    back = partner[leave] ^ 1
-    loops = dict(
-        zip(
-            inner_halts.tolist(),
-            zip((seq[head[last[leave]]] >> 1).tolist(), pos[back].tolist(), (back >> 1).tolist()),
         )
     )
 
@@ -469,9 +464,6 @@ def _stitch(x, y, bounds) -> list[tuple[np.ndarray, np.ndarray, list[int]]]:
         # open chains first, anchored at odd-degree nodes, then cycles
         anchors = odd[odd_cut[level] : odd_cut[level + 1]]
         for start in anchors + list(range(halt_bounds[level], halt_bounds[level + 1])):
-            guard, back_at, back_segment = loops.get(start, (-1, -1, -1))
-            if guard >= 0 and used[guard]:
-                continue
             k_at = next_endpoint(start)
             while k_at >= 0:
                 lo.append(opening[start])
@@ -479,8 +471,6 @@ def _stitch(x, y, bounds) -> list[tuple[np.ndarray, np.ndarray, list[int]]]:
                 count += 1
                 while k_at >= 0:
                     a, b, final, node = step[k_at]
-                    if a <= back_at <= b:
-                        b, final, node = back_at, back_segment, start
                     used[segment[k_at]] = 1
                     used[final] = 1
                     lo.append(a)
@@ -567,10 +557,11 @@ def _panel_svg(grid: MeasureGrid, spec: GridSpec, offset_x: float) -> list[str]:
     p0_span = spec.p0_max - spec.p0_min
     rr_span = spec.rr_max - spec.rr_min
 
-    def to_x(p0_value: float) -> float:
+    # plain arithmetic: each takes a float or an array of them
+    def to_x(p0_value):
         return x0 + (p0_value - spec.p0_min) / p0_span * _PANEL_WIDTH
 
-    def to_y(rr_value: float) -> float:
+    def to_y(rr_value):
         return y0 + _PANEL_HEIGHT - (rr_value - spec.rr_min) / rr_span * _PANEL_HEIGHT
 
     bottom = y0 + _PANEL_HEIGHT
@@ -618,10 +609,10 @@ def _panel_svg(grid: MeasureGrid, spec: GridSpec, offset_x: float) -> list[str]:
         if not x.size:
             continue
         parts.append(f'<g class="level" data-level="{_tick_label(level)}">')
-        # to_x and to_y over every vertex of the level at once, interleaved
+        # every vertex of the level at once, interleaved
         xy = np.empty(2 * x.size)
-        xy[0::2] = x0 + (x - spec.p0_min) / p0_span * _PANEL_WIDTH
-        xy[1::2] = y0 + _PANEL_HEIGHT - (y - spec.rr_min) / rr_span * _PANEL_HEIGHT
+        xy[0::2] = to_x(x)
+        xy[1::2] = to_y(y)
         sizes = [b - a for a, b in zip(bounds, bounds[1:])]
         # one "%" writes every path of the level; "%.2f" % v == f"{v:.2f}"
         template = "\n".join(
@@ -632,8 +623,8 @@ def _panel_svg(grid: MeasureGrid, spec: GridSpec, offset_x: float) -> list[str]:
         longest = sizes.index(max(sizes))
         middle = bounds[longest] + sizes[longest] // 2
         parts.append(
-            f'<text class="contour-label" x="{_px(to_x(float(x[middle])) + 2)}" '
-            f'y="{_px(to_y(float(y[middle])) - 2)}">{_tick_label(level)}</text>'
+            f'<text class="contour-label" x="{_px(xy[2 * middle] + 2)}" '
+            f'y="{_px(xy[2 * middle + 1] - 2)}">{_tick_label(level)}</text>'
         )
         parts.append("</g>")
     parts.append("</g>")

@@ -230,6 +230,21 @@ class TestMeasureGridValidation:
                 mask=np.zeros((4, 5), dtype=bool),
             )
 
+    @pytest.mark.parametrize("axis", ["p0_axis", "rr_axis"])
+    @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+    def test_non_finite_axis_rejected(self, axis, bad):
+        # a contour vertex on such an axis would be written as "inf" or "nan"
+        axes = {"p0_axis": np.linspace(0.01, 0.1, 5), "rr_axis": np.linspace(1.0, 2.0, 4)}
+        axes[axis][-1] = bad
+        with pytest.raises(InvalidParamsError, match=f"{axis} must be finite"):
+            MeasureGrid(
+                prevalence=0.2,
+                c_values=np.zeros((4, 5)),
+                par_axis=np.zeros(4),
+                mask=np.zeros((4, 5), dtype=bool),
+                **axes,
+            )
+
 
 def _vertices(contour_set):
     return [point for polyline in contour_set.polylines for point in polyline]
@@ -538,18 +553,27 @@ class TestContourByteIdentity:
         contour = _assert_same_contours(grid, 0.5)
         assert max(_node_degrees(contour).values()) == 4
 
-    def test_figure_eight_starts_inside_a_strand(self):
-        # Two islands above 0.5 touch at a node equal to the level: their
-        # loops meet there in a node of degree 4. The smallest node, the
+    @pytest.mark.parametrize(
+        "middle, degrees, vertices",
+        [
+            pytest.param([0.0, 1.0, 0.5, 1.0, 0.0], [2] * 6 + [4], 9, id="two-islands"),
+            pytest.param(
+                [0.0, 1.0, 0.5, 1.0, 0.5, 1.0, 0.0], [2] * 8 + [4, 4], 13, id="three-islands"
+            ),
+        ],
+    )
+    def test_figure_eight_starts_inside_a_strand(self, middle, degrees, vertices):
+        # Islands above 0.5 in a row touch at nodes equal to the level: their
+        # loops meet there in nodes of degree 4. The smallest node, the
         # left loop's leftmost, has degree 2, so the walk starts inside the
-        # strand that leaves the degree-4 node and comes back to it.
-        grid = _synthetic_grid(
-            [[0.0, 0.0, 0.0, 0.0, 0.0], [0.0, 1.0, 0.5, 1.0, 0.0], [0.0, 0.0, 0.0, 0.0, 0.0]]
-        )
-        contour = _assert_same_contours(grid, 0.5)
+        # strand that leaves a degree-4 node and comes back to it. With three
+        # islands, strands also join the two degree-4 nodes.
+        zeros = [0.0] * len(middle)
+        contour = _assert_same_contours(_synthetic_grid([zeros, middle, zeros]), 0.5)
         degree = _node_degrees(contour)
-        assert sorted(degree.values()) == [2] * 6 + [4]
+        assert sorted(degree.values()) == degrees
         assert degree[min(degree)] == 2
+        assert [len(polyline) for polyline in contour.polylines] == [vertices]
 
     def test_closed_loop_direction_follows_the_smallest_nodes_first_endpoint(self):
         # A diamond of four degree-2 nodes around one island. The leftmost
