@@ -18,16 +18,13 @@ two modules are the package's ``_LAZY`` table, the one list of them.
 ``main(argv)`` may be called repeatedly in one process: it builds its
 parser on the first call and reuses it for every later one, so an
 embedding caller pays the argparse set-up once. Importing this module
-builds no parser, and a process that runs one command is unchanged.
-``build_parser()`` still returns a new parser on each call.
+builds no parser; ``build_parser()`` returns a new parser on each call.
 """
 
 from __future__ import annotations
 
 import argparse
-import csv
 import functools
-import io
 import json
 import sys
 from dataclasses import asdict
@@ -106,12 +103,10 @@ def _flatten(record: dict, prefix: str = "") -> dict:
 
 
 def _record_csv(record: dict) -> str:
+    # every key is a dotted name and every value a number: no field needs quoting
     flat = _flatten(record)
-    buffer = io.StringIO()
-    writer = csv.writer(buffer, lineterminator="\n")
-    writer.writerow(flat.keys())
-    writer.writerow(["" if value is None else value for value in flat.values()])
-    return buffer.getvalue()
+    values = ("" if value is None else str(value) for value in flat.values())
+    return ",".join(flat) + "\n" + ",".join(values) + "\n"
 
 
 def _write_text(path: str, text: str) -> None:
@@ -360,15 +355,9 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-@functools.cache
-def _parser() -> argparse.ArgumentParser:
-    """The parser ``main`` uses, built on its first call.
-
-    It holds no per-call state: argparse looks up ``sys.stdout``,
-    ``sys.stderr`` and the terminal width when it prints, not when the
-    parser is built.
-    """
-    return build_parser()
+# Built on the first call of main and kept: argparse reads sys.stdout,
+# sys.stderr and the terminal width when it prints, not when it is built.
+_parser = functools.cache(build_parser)
 
 
 def main(argv=None) -> int:

@@ -32,6 +32,7 @@ from __future__ import annotations
 
 import math
 import operator
+import sys
 from dataclasses import dataclass, field
 
 from .errors import (
@@ -118,10 +119,17 @@ def _any(condition) -> bool:
 
 def _f_cases(f, p0, p1):
     denom = f * p1 + (1.0 - f) * p0
-    if _any(denom <= 0.0):
+    # Below the smallest normal float the terms of denom have lost bits, and
+    # the c-index with them. For 0 < f, p0 < 1 the controls denominator is
+    # at least (1-f)*(1-p0) >= 1.2e-32, so it needs no such floor.
+    if _any(denom < sys.float_info.min):
         raise DegenerateScenarioError(
             "overall incidence f*p1 + (1-f)*p0 is zero: no cases exist, so the "
             "factor prevalence among cases is undefined"
+            if _any(denom <= 0.0)
+            else f"overall incidence f*p1 + (1-f)*p0 lies below the float floor "
+            f"{sys.float_info.min:.3g} (the smallest normal float), where it has "
+            f"lost the precision the measures need"
         )
     return f * p1 / denom
 
@@ -338,7 +346,8 @@ def rr_for_target_c(f, p0, target_c, *, tolerance=1e-10) -> float:
     exceeds the c-index at the upper bracket end by more than
     ``tolerance``. A target above that c-index but within ``tolerance`` of
     it returns the bracket end, which already meets the tolerance contract
-    in c.
+    in c. :class:`DegenerateScenarioError` is raised when the bisection
+    reaches an rr whose overall incidence lies below the float floor.
     """
     f = _require_prob(f, "f", open_interval=True)
     p0 = _require_prob(p0, "p0", open_interval=True)
@@ -368,7 +377,8 @@ def rr_for_target_c(f, p0, target_c, *, tolerance=1e-10) -> float:
     if target > c_hi:
         # e.g. the c of an rr one ulp below hi, which rounds above c(hi)
         return hi
-    c_lo = c_at(lo)
+    # c(1) is exactly 1/2; evaluating it could fall below the float floor
+    c_lo = 0.5
     if target <= c_lo:
         return lo
 

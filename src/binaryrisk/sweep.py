@@ -137,14 +137,11 @@ class MeasureGrid:
         object.__setattr__(self, "par_axis", np.asarray(self.par_axis, dtype=float))
         object.__setattr__(self, "mask", np.asarray(self.mask, dtype=bool))
         shape = (self.rr_axis.size, self.p0_axis.size)
-        if self.c_values.shape != shape:
-            raise InvalidParamsError(
-                f"c_values shape {self.c_values.shape} does not match the axes {shape}"
-            )
-        if self.mask.shape != shape:
-            raise InvalidParamsError(
-                f"mask shape {self.mask.shape} does not match the axes {shape}"
-            )
+        for name in ("c_values", "mask"):
+            if getattr(self, name).shape != shape:
+                raise InvalidParamsError(
+                    f"{name} shape {getattr(self, name).shape} does not match the axes {shape}"
+                )
         if self.par_axis.shape != (self.rr_axis.size,):
             raise InvalidParamsError(
                 f"par_axis must pair one value with each rr entry "
@@ -255,8 +252,9 @@ def _contour_polylines(
     times cells. Crossings are grouped by level, row-major within each, so
     every level's segments come in row-major cell order, and in table order
     within a cell; segments whose two endpoints coincide are dropped.
-    Levels are told apart by their bits: 0.0 and -0.0 cross the same cells,
-    but each interpolates with its own sign.
+    Each entry of ``levels`` has its own slot in the sorted ladder: a
+    repeated level is stitched once per copy, and 0.0 and -0.0 cross the
+    same cells but each interpolates with its own sign.
     """
     values = grid.c_values
     valid = ~grid.mask & np.isfinite(values)
@@ -265,11 +263,9 @@ def _contour_polylines(
     low = np.minimum(np.minimum(corners[0], corners[1]), np.minimum(corners[2], corners[3]))
     high = np.maximum(np.maximum(corners[0], corners[1]), np.maximum(corners[2], corners[3]))
 
-    bits, slot_of = np.unique(
-        np.asarray(levels, dtype=float).reshape(-1).view(np.int64), return_inverse=True
-    )
-    by_value = np.argsort(bits.view(np.float64), kind="stable")
-    ladder = bits.view(np.float64)[by_value]
+    levels = np.asarray(levels, dtype=float).reshape(-1)
+    by_value = np.argsort(levels, kind="stable")
+    ladder = levels[by_value]
     # the levels in [low, high) of each valid cell, as ranks into the ladder
     first = np.searchsorted(ladder, low.ravel())
     count = (np.searchsorted(ladder, high.ravel()) - first) * cell_ok.ravel()
@@ -315,7 +311,7 @@ def _contour_polylines(
     polylines = [None] * ladder.size
     for level_slot, vertices in zip(by_value.tolist(), _stitch(x, y, bounds)):
         polylines[level_slot] = vertices
-    return [polylines[k] for k in slot_of.tolist()]
+    return polylines
 
 
 def _list_rank(succ: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -681,20 +677,7 @@ def render_svg(grids, spec: GridSpec) -> str:
 
 
 def _json_float(x) -> str:
-    """``json.dumps(float(format(x, ".12g")))``, formatted once; finite values only.
-
-    A ``.12g`` text with a point and no exponent is already the shortest
-    repr of the rounded value. The rest (integral values, ``-0``, and the
-    exponent forms, where ``.12g`` and repr lay out digits differently)
-    goes through repr.
-    """
-    text = format(x, ".12g")
-    if "." in text and "e" not in text:
-        return text
-    value = float(text)
-    if not math.isfinite(value):
-        raise RenderError(f"cannot export the non-finite value {text} as JSON")
-    return repr(value)
+    return _json_floats("%.12g", (x,))
 
 
 def _json_array(texts: list[str], indent: int) -> str:
@@ -721,20 +704,27 @@ def _extend_json_array(parts: list[str], items, indent: int) -> None:
 
 
 def _json_floats(template: str, values: tuple) -> str:
-    """``template % values``, each ``%.12g`` slot written as by :func:`_json_float`.
+    """``template % values``, each ``%.12g`` slot as ``json.dumps(float(format(v, ".12g")))``.
 
     ``template`` holds no ``.`` or ``e`` outside its slots. A ``.12g`` text
-    with a point and no exponent is final, so a result with one point per
-    value and no ``e`` took one ``%`` operation. Otherwise only the texts
-    without a point or with an exponent go through :func:`_json_float`,
-    which also rejects non-finite values.
+    with a point and no exponent is already the shortest repr of the
+    rounded value, so a result with one point per value and no ``e`` took
+    one ``%`` operation. Otherwise each of the other texts (integral values,
+    ``-0``, and the exponent forms, where ``.12g`` and repr lay out digits
+    differently) is written by repr, and a non-finite value raises
+    :class:`RenderError`.
     """
     text = template % values
     if text.count(".") == len(values) and "e" not in text:
         return text
     texts = ["%.12g" % v for v in values]
-    fixed = [t if "." in t and "e" not in t else _json_float(v) for t, v in zip(texts, values)]
-    return template.replace("%.12g", "%s") % tuple(fixed)
+    for k, text in enumerate(texts):
+        if "." not in text or "e" in text:
+            value = float(text)
+            if not math.isfinite(value):
+                raise RenderError(f"cannot export the non-finite value {text} as JSON")
+            texts[k] = repr(value)
+    return template.replace("%.12g", "%s") % tuple(texts)
 
 
 def _rows(grid: MeasureGrid):

@@ -445,6 +445,23 @@ class TestPlot:
         assert code == 2
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["compute", "--f", "0.2", "--p0", "5e-324", "--rr", "1"],
+        ["sweep", "--prevalences", "0.2", "--p0-min", "5e-324", "--p0-max", "1e-300",
+         "--rr-min", "1", "--rr-max", "2", "--resolution", "3", "--format", "csv"],
+    ],
+    ids=["compute", "sweep"],
+)
+def test_incidence_below_float_floor_exits_2(argv, run_cli, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    code, out, err = run_cli(*argv)
+    assert (code, out) == (2, "")
+    assert "below the float floor" in err
+    assert list(tmp_path.iterdir()) == []
+
+
 class TestEntryPoints:
     def test_module_invocation(self, tmp_path):
         completed = subprocess.run(

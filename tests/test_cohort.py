@@ -81,6 +81,10 @@ class TestCohortCounts:
 
 
 class TestSimulationSpec:
+    def test_params_type_checked(self):
+        with pytest.raises(InvalidParamsError, match="params must be a PopulationParams, got dict"):
+            SimulationSpec(params={"f": 0.2, "p0": 0.1, "rr": 1.5}, n_subjects=10, seed=1)
+
     def test_zero_subjects_rejected(self):
         with pytest.raises(InvalidParamsError):
             make_spec(0.2, 0.1, 1.5, 0, 1)
@@ -121,6 +125,10 @@ class TestSimulationSpec:
 class TestSimulateCohort:
     def test_golden_counts(self):
         assert simulate_cohort(make_spec(**GOLDEN_SPEC)) == GOLDEN_COUNTS
+
+    def test_spec_type_checked(self):
+        with pytest.raises(InvalidParamsError, match="spec must be a SimulationSpec, got dict"):
+            simulate_cohort({"n_subjects": 10, "seed": 1})
 
     def test_law_of_large_numbers_bands(self):
         counts = simulate_cohort(make_spec(**GOLDEN_SPEC))
@@ -278,6 +286,10 @@ class TestEmpiricalMeasures:
     def test_missing_margin_degenerate(self):
         with pytest.raises(DegenerateScenarioError):
             empirical_measures(CohortCounts(0, 0, 5, 5))
+
+    def test_no_cases_degenerate(self):
+        with pytest.raises(DegenerateScenarioError, match="the cohort has 0 cases and 10 controls"):
+            empirical_measures(CohortCounts(0, 5, 0, 5))
 
     @given(
         st.integers(min_value=1, max_value=300),

@@ -1,4 +1,5 @@
 import math
+import sys
 from fractions import Fraction
 
 import numpy as np
@@ -87,6 +88,11 @@ class TestPopulationParams:
     def test_bad_rr_invalid(self, rr):
         with pytest.raises(InvalidParamsError):
             PopulationParams(f=0.2, p0=0.1, rr=rr)
+
+    @pytest.mark.parametrize("bad", ["abc", None])
+    def test_non_number_rejected(self, bad):
+        with pytest.raises(InvalidParamsError, match=f"f must be a real number, got {bad!r}"):
+            PopulationParams(f=bad, p0=0.1, rr=1.5)
 
 
 class TestIncidenceExposed:
@@ -301,6 +307,43 @@ class TestDeriveMeasures:
         p_pop = params.f * measures.p1 + (1.0 - params.f) * params.p0
         par_bayes = (p_pop - params.p0) / p_pop
         assert abs(measures.par - par_bayes) <= 1e-9 * max(1.0, abs(par_bayes))
+
+
+class TestFloatFloor:
+    """Scenarios whose overall incidence P = f*p1 + (1-f)*p0 is below the
+    smallest normal float are rejected: there the terms of P have lost bits,
+    and the c-index with them. Above it the kernel is exact to float rounding.
+    """
+
+    def test_kernel_exact_above_the_floor_and_typed_error_below(self):
+        rng = np.random.Generator(np.random.PCG64(11))
+        log_tiny = math.log(5e-324)
+        exact, rejected = 0, 0
+        for _ in range(3000):
+            f, p0 = (max(math.exp(v), 5e-324) for v in rng.uniform(log_tiny, math.log(0.99), 2))
+            top = max_feasible_rr(p0)
+            rr = min(math.exp(rng.uniform(math.log(1e-3), math.log(top))), top)
+            params = PopulationParams(f=f, p0=p0, rr=rr)
+            incidence = f * params.p1 + (1.0 - f) * p0
+            if incidence < sys.float_info.min:
+                with pytest.raises(DegenerateScenarioError, match="float floor|no cases exist"):
+                    derive_measures(params)
+                rejected += 1
+                continue
+            c_index = derive_measures(params).c_index
+            oracle = derive_exact(f, p0, Fraction(params.p1) / Fraction(p0))["c_index"]
+            assert abs(Fraction(c_index) - oracle) <= 2 * Fraction(math.ulp(0.5))
+            exact += 1
+        assert exact > 2000 and rejected > 50
+
+    def test_public_helper_names_the_floor(self):
+        with pytest.raises(DegenerateScenarioError, match="below the float floor 2.23e-308"):
+            prevalence_in_cases(0.5, 1e-310, 1e-310)
+
+    def test_solver_reports_a_root_below_the_floor(self):
+        # c reaches 0.74 only where P is about 6e-323
+        with pytest.raises(DegenerateScenarioError, match="float floor"):
+            rr_for_target_c(0.5, 5e-324, 0.74)
 
 
 class TestMonotonicity:

@@ -206,17 +206,32 @@ class TestEvaluateGrid:
         with pytest.raises(InvalidParamsError):
             evaluate_grid(default_spec, 0.3)
 
+    def test_argument_types_checked(self, default_spec, default_grids):
+        with pytest.raises(InvalidParamsError, match="spec must be a GridSpec, got dict"):
+            evaluate_grid({}, 0.5)
+        with pytest.raises(InvalidParamsError, match="grid must be a MeasureGrid, got list"):
+            extract_contours([], 0.55)
+        with pytest.raises(InvalidParamsError, match="spec must be a GridSpec, got dict"):
+            render_svg(default_grids, {})
+        with pytest.raises(InvalidParamsError, match="grids must be MeasureGrid, got dict"):
+            render_svg([{}, {}, {}], default_spec)
+
 
 class TestMeasureGridValidation:
-    def test_dimension_mismatch_rejected(self):
-        with pytest.raises(InvalidParamsError):
+    @pytest.mark.parametrize("name", ["c_values", "mask"])
+    def test_dimension_mismatch_rejected(self, name):
+        arrays = {"c_values": np.zeros((4, 5)), "mask": np.zeros((4, 5), dtype=bool)}
+        arrays[name] = arrays[name][:, :3]
+        with pytest.raises(
+            InvalidParamsError,
+            match=rf"^{name} shape \(4, 3\) does not match the axes \(4, 5\)$",
+        ):
             MeasureGrid(
                 prevalence=0.2,
                 p0_axis=np.linspace(0.01, 0.1, 5),
                 rr_axis=np.linspace(1.0, 2.0, 4),
-                c_values=np.zeros((5, 5)),
                 par_axis=np.zeros(4),
-                mask=np.zeros((4, 5), dtype=bool),
+                **arrays,
             )
 
     def test_par_axis_length_checked(self):
@@ -719,6 +734,10 @@ class TestRenderSvg:
     def test_panel_count_mismatch_rejected(self, default_spec, default_grids):
         with pytest.raises(InvalidParamsError):
             render_svg(default_grids[:2], default_spec)
+
+    def test_panel_order_mismatch_rejected(self, default_spec, default_grids):
+        with pytest.raises(InvalidParamsError, match="expected prevalence 0.5, got 0.1"):
+            render_svg(default_grids[::-1], default_spec)
 
 
 class TestExports:
