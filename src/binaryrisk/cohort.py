@@ -18,12 +18,14 @@ suite pin exact golden counts.
 from __future__ import annotations
 
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
 from .errors import DegenerateScenarioError, InvalidParamsError
-from .measures import DerivedMeasures, PopulationParams, _measure_kernel, _require_count
+from .measures import (
+    DerivedMeasures, PopulationParams, _measure_kernel, _require_count, _require_type
+)
 
 __all__ = [
     "CohortCounts",
@@ -47,13 +49,8 @@ class CohortCounts:
     n_unexposed_control: int
 
     def __post_init__(self) -> None:
-        for name in (
-            "n_exposed_case",
-            "n_exposed_control",
-            "n_unexposed_case",
-            "n_unexposed_control",
-        ):
-            object.__setattr__(self, name, _require_count(getattr(self, name), name))
+        for item in fields(self):
+            object.__setattr__(self, item.name, _require_count(getattr(self, item.name), item.name))
         if self.total == 0:
             raise InvalidParamsError("the cohort is empty; at least one subject is required")
 
@@ -92,10 +89,7 @@ class SimulationSpec:
     seed: int
 
     def __post_init__(self) -> None:
-        if not isinstance(self.params, PopulationParams):
-            raise InvalidParamsError(
-                f"params must be a PopulationParams, got {type(self.params).__name__}"
-            )
+        _require_type(self.params, PopulationParams, "params")
         n_subjects = _require_count(self.n_subjects, "n_subjects", minimum=1)
         if n_subjects > sys.maxsize:
             # the largest array length numpy can even be asked for
@@ -115,8 +109,7 @@ def simulate_cohort(spec: SimulationSpec) -> CohortCounts:
     Deterministic: the same spec always yields the same counts (PCG64,
     exposure uniforms first, disease uniforms second).
     """
-    if not isinstance(spec, SimulationSpec):
-        raise InvalidParamsError(f"spec must be a SimulationSpec, got {type(spec).__name__}")
+    _require_type(spec, SimulationSpec, "spec")
     rng = np.random.Generator(np.random.PCG64(spec.seed))
     n = spec.n_subjects
     params = spec.params

@@ -22,10 +22,11 @@ adjacent floats, when the end with c nearer the target is returned. So
 every reachable target returns an rr that meets the tolerance in c or lies
 within one ulp of the root.
 
-All computation is plain 64-bit floating point. Scenario validation is
-centralised in :class:`PopulationParams`, so a params object that exists
-is always a realizable population; the public scalar helpers validate
-their own arguments because they take user input.
+All computation is plain 64-bit floating point. Every input check of the
+package goes through one helper per kind of check, all defined here
+(``_require_type``, ``_finite``, ``_prob``, ``_positive``, ``_count``). A
+:class:`PopulationParams` that exists is always a realizable population;
+the public scalar helpers check their own arguments, as they take user input.
 """
 
 from __future__ import annotations
@@ -55,6 +56,11 @@ __all__ = [
     "max_feasible_rr",
     "rr_for_target_c",
 ]
+
+
+def _require_type(value, kind: type, name: str) -> None:
+    if not isinstance(value, kind):
+        raise InvalidParamsError(f"{name} must be a {kind.__name__}, got {type(value).__name__}")
 
 
 def _require_finite(value, name: str) -> float:
@@ -285,10 +291,7 @@ def derive_measures(params: PopulationParams) -> DerivedMeasures:
     The validated params go straight to :func:`_measure_kernel`, whose
     ``c_index`` is the linear form of :func:`c_index_closed`.
     """
-    if not isinstance(params, PopulationParams):
-        raise InvalidParamsError(
-            f"params must be a PopulationParams, got {type(params).__name__}"
-        )
+    _require_type(params, PopulationParams, "params")
     return DerivedMeasures(*_measure_kernel(params.f, params.p0, params.p1, params.rr))
 
 
@@ -316,16 +319,15 @@ def rr_from_par(f, target_par) -> float:
 
 
 def max_feasible_rr(p0) -> float:
-    """Largest rr such that (f, p0, rr) is still a realizable scenario.
+    """The float nearest 1/p0, or the largest float where 1/p0 overflows.
 
-    Mathematically 1/p0; nudged down by at most a couple of ulps when
-    floating point rounding would push rr * p0 above 1.
+    This is the top of the rr range that :func:`rr_for_target_c` searches.
+    The rounded product rr * p0 is at most 1 there, so
+    :class:`PopulationParams`, which checks the rounded product, accepts
+    (f, p0, rr); the exact product may exceed 1 by up to half an ulp of 1.
     """
     p0 = _require_prob(p0, "p0", open_interval=True)
-    rr = 1.0 / p0
-    while rr * p0 > 1.0:
-        rr = math.nextafter(rr, 0.0)
-    return rr
+    return min(1.0 / p0, sys.float_info.max)
 
 
 def rr_for_target_c(f, p0, target_c, *, tolerance=1e-10) -> float:
@@ -356,9 +358,7 @@ def rr_for_target_c(f, p0, target_c, *, tolerance=1e-10) -> float:
         raise InvalidParamsError(
             f"target_c must be at least 0.5 (the c-index at rr = 1), got {target}"
         )
-    tol = _require_finite(tolerance, "tolerance")
-    if tol <= 0.0:
-        raise InvalidParamsError(f"tolerance must be positive, got {tol}")
+    tol = _require_positive(tolerance, "tolerance")
 
     lo = 1.0
     hi = max_feasible_rr(p0)

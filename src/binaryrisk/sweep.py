@@ -36,14 +36,16 @@ resources.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import partial
 from itertools import chain, groupby, repeat
 
 import numpy as np
 
 from .errors import InvalidParamsError, RenderError
 from .measures import (
-    _measure_kernel, _par, _require_count, _require_finite, _require_positive, _require_prob
+    _measure_kernel, _par, _require_count, _require_finite, _require_positive, _require_prob,
+    _require_type,
 )
 
 __all__ = [
@@ -56,10 +58,6 @@ __all__ = [
     "grids_to_csv",
     "grids_to_json",
 ]
-
-
-def _default_levels() -> tuple[float, ...]:
-    return tuple(round(0.51 + 0.01 * k, 2) for k in range(10))
 
 
 @dataclass(frozen=True)
@@ -77,7 +75,7 @@ class GridSpec:
     rr_min: float = 1.0
     rr_max: float = 3.0
     resolution: int = 201
-    contour_levels: tuple[float, ...] = field(default_factory=_default_levels)
+    contour_levels: tuple[float, ...] = (0.51, 0.52, 0.53, 0.54, 0.55, 0.56, 0.57, 0.58, 0.59, 0.60)
 
     def __post_init__(self) -> None:
         prevalences = tuple(
@@ -86,22 +84,15 @@ class GridSpec:
         if not prevalences:
             raise InvalidParamsError("at least one prevalence panel is required")
         object.__setattr__(self, "prevalences", prevalences)
-        p0_min = _require_prob(self.p0_min, "p0_min", open_interval=True)
-        p0_max = _require_prob(self.p0_max, "p0_max", open_interval=True)
-        if not p0_min < p0_max:
-            raise InvalidParamsError(
-                f"p0_min must lie below p0_max, got [{p0_min:g}, {p0_max:g}]"
-            )
-        object.__setattr__(self, "p0_min", p0_min)
-        object.__setattr__(self, "p0_max", p0_max)
-        rr_min = _require_positive(self.rr_min, "rr_min")
-        rr_max = _require_positive(self.rr_max, "rr_max")
-        if not rr_min < rr_max:
-            raise InvalidParamsError(
-                f"rr_min must lie below rr_max, got [{rr_min:g}, {rr_max:g}]"
-            )
-        object.__setattr__(self, "rr_min", rr_min)
-        object.__setattr__(self, "rr_max", rr_max)
+        for low, high, check in (
+            ("p0_min", "p0_max", partial(_require_prob, open_interval=True)),
+            ("rr_min", "rr_max", _require_positive),
+        ):
+            lo, hi = check(getattr(self, low), low), check(getattr(self, high), high)
+            if not lo < hi:
+                raise InvalidParamsError(f"{low} must lie below {high}, got [{lo:g}, {hi:g}]")
+            object.__setattr__(self, low, lo)
+            object.__setattr__(self, high, hi)
         object.__setattr__(
             self, "resolution", _require_count(self.resolution, "resolution", minimum=2)
         )
@@ -164,8 +155,7 @@ def evaluate_grid(spec: GridSpec, prevalence: float) -> MeasureGrid:
     call, the same code that :func:`derive_measures` runs on one scenario,
     so grid values equal direct scenario evaluation bit for bit.
     """
-    if not isinstance(spec, GridSpec):
-        raise InvalidParamsError(f"spec must be a GridSpec, got {type(spec).__name__}")
+    _require_type(spec, GridSpec, "spec")
     if prevalence not in spec.prevalences:
         raise InvalidParamsError(
             f"prevalence {prevalence!r} is not one of the spec's panels {spec.prevalences}"
@@ -276,12 +266,7 @@ def _contour_polylines(
     rank = rank[by_rank]
     rows, cols = np.unravel_index(crossing[by_rank], low.shape)
     level = ladder[rank]
-    v00, v01, v11, v10 = (
-        values[rows, cols],
-        values[rows, cols + 1],
-        values[rows + 1, cols + 1],
-        values[rows + 1, cols],
-    )
+    v00, v01, v11, v10 = (corner[rows, cols] for corner in corners)
     case = (
         (v00 > level).view(np.uint8)
         | ((v01 > level).view(np.uint8) << 1)
@@ -360,8 +345,6 @@ def _stitch(x, y, bounds) -> list[tuple[np.ndarray, np.ndarray, list[int]]]:
     xs, ys = x.ravel(), y.ravel()
     n = xs.size
     levels = len(bounds) - 1
-    if n == 0:
-        return [(xs, ys, [0]) for _ in range(levels)]
     # small integers: their stable sort is a radix sort
     level_of = np.repeat(np.arange(levels, dtype=np.min_scalar_type(levels)), 2 * np.diff(bounds))
     # a stable sort: each node's endpoints stay in segment order
@@ -494,8 +477,7 @@ def extract_contours(grid: MeasureGrid, level) -> ContourSet:
     is finite. A level the field never crosses yields an empty polyline
     list, not an error.
     """
-    if not isinstance(grid, MeasureGrid):
-        raise InvalidParamsError(f"grid must be a MeasureGrid, got {type(grid).__name__}")
+    _require_type(grid, MeasureGrid, "grid")
     level = _require_finite(level, "level")
     x, y, bounds = _contour_polylines(grid, (level,))[0]
     points = list(zip(x.tolist(), y.tolist()))
@@ -637,16 +619,14 @@ def render_svg(grids, spec: GridSpec) -> str:
     grids = list(grids)
     if not grids:
         raise RenderError("no grids to render")
-    if not isinstance(spec, GridSpec):
-        raise InvalidParamsError(f"spec must be a GridSpec, got {type(spec).__name__}")
+    _require_type(spec, GridSpec, "spec")
     if len(grids) != len(spec.prevalences):
         raise InvalidParamsError(
             f"expected one grid per prevalence panel "
             f"({len(spec.prevalences)}), got {len(grids)}"
         )
     for grid, prevalence in zip(grids, spec.prevalences):
-        if not isinstance(grid, MeasureGrid):
-            raise InvalidParamsError(f"grids must be MeasureGrid, got {type(grid).__name__}")
+        _require_type(grid, MeasureGrid, "grid")
         if grid.prevalence != prevalence:
             raise InvalidParamsError(
                 f"grid order must match spec.prevalences; expected prevalence "

@@ -1,14 +1,18 @@
 import json
+import math
 import subprocess
 import sys
 import xml.etree.ElementTree as ET
+from fractions import Fraction
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
-from binaryrisk import cli
+from binaryrisk import PopulationParams, cli, derive_measures, max_feasible_rr
 from binaryrisk.cli import build_parser, main
 
-from _oracles import meets_solver_contract
+from _oracles import derive_exact, meets_solver_contract
 
 C_INDEX_02 = 0.5408580183861083
 PAR_02 = 0.09090909090909091
@@ -528,3 +532,117 @@ class TestReusedParser:
         assert (code, out) == (2, "")
         assert "--extra" in parser.format_help()
         assert "--extra" not in run_cli("--help")[1]
+
+
+# The whole-domain property draws each flag's value from ordinary values for
+# that flag, or, a quarter of the time, from the edge alphabet: float edges,
+# integers out of range and text that is no number.
+_EDGES = st.sampled_from((
+    "0", "1", "-1", "5e-324", "1e-300", "1e-310", "0.9999999999999999", "1.0000000000000002",
+    "1e308", "inf", "nan", "-0.0", str(2**64), "x",
+))
+
+
+def _mostly(values):
+    return st.integers(0, 3).flatmap(lambda k: values if k else _EDGES)
+
+
+def _floats(low, high, **kwargs):
+    return _mostly(st.floats(low, high, **kwargs).map(repr))
+
+
+def _list(values):
+    return _mostly(st.lists(values, min_size=1, max_size=3).map(",".join))
+
+
+_PROB = _floats(0.0, 1.0, exclude_min=True, exclude_max=True)
+_RR = _floats(0.5, 5.0)
+_C = _floats(0.45, 1.0)
+_GRID_FLAGS = {
+    "prevalences": _list(_PROB), "p0-min": _PROB, "p0-max": _PROB, "rr-min": _RR,
+    "rr-max": _RR, "levels": _list(_C),
+    # no lattice above 7 x 7
+    "resolution": st.sampled_from(("-1", "0", "1", "2", "3", "7", "2.5", "x")),
+}
+_FLAGS = {
+    "compute": {"f": _PROB, "p0": _PROB, "rr": _RR},
+    "solve": {"f": _PROB, "p0": _PROB, "target-par": _PROB, "target-c": _C,
+              "tolerance": _mostly(st.sampled_from(("1e-6", "1e-10", "1e-14")))},
+    "simulate": {"f": _PROB, "p0": _PROB, "rr": _RR,
+                 "n": _mostly(st.sampled_from(("50", "5000"))),
+                 "seed": _mostly(st.sampled_from(("7", str(2**64 - 1))))},
+    "sweep": _GRID_FLAGS,
+    "plot": _GRID_FLAGS,
+}
+_SHARED_FLAGS = {
+    "format": st.sampled_from(("json", "csv")),
+    # a missing directory makes the write fail: exit 3
+    "out": st.sampled_from(("payload.out", "missing/payload.out")),
+}
+
+
+@st.composite
+def _reachable_solve(draw):
+    """``solve --target-c`` for a target in [1/2, c(max_feasible_rr(p0))], with p0 >= 1e-300."""
+    f = draw(st.sampled_from((5e-324, 1e-300, 0.5, 0.9999999999999999))
+             | st.floats(0.0, 1.0, exclude_min=True, exclude_max=True))
+    p0 = draw(st.sampled_from((1e-300, 1e-10, 0.5, 0.9999999999999999))
+              | st.floats(1e-300, 1.0, exclude_max=True))
+    top = derive_measures(PopulationParams(f=f, p0=p0, rr=max_feasible_rr(p0))).c_index
+    target = min(0.5 + draw(st.floats(0.0, 1.0)) * (top - 0.5), top)
+    argv = ["solve", f"--f={f!r}", f"--p0={p0!r}", f"--target-c={target!r}"]
+    if draw(st.booleans()):
+        argv.append(f"--tolerance={draw(st.sampled_from(('1e-6', '1e-10', '1e-14')))}")
+    return argv
+
+
+@st.composite
+def _any_argv(draw):
+    """Any command, each of its flags present or not, with a value drawn as in ``_FLAGS``."""
+    command = draw(st.sampled_from(sorted(_FLAGS)))
+    argv = [command]
+    for flag, values in _FLAGS[command].items():
+        # without --resolution a lattice would be 201 x 201
+        if flag == "resolution" or draw(st.integers(0, 15)):
+            argv.append(f"--{flag}={draw(values)}")
+    for flag, values in _SHARED_FLAGS.items():
+        if not draw(st.integers(0, 3)):
+            argv.append(f"--{flag}={draw(values)}")
+    return argv
+
+
+def _reject_constant(name):
+    raise ValueError(f"{name} is not JSON")
+
+
+class TestWholeDomainContract:
+    """Every argv gets exit 0 with one strict-JSON envelope, or exit 2 or 3 and
+    an empty stdout; what exit 0 reports is checked against the exact oracles."""
+
+    @settings(
+        max_examples=1000,
+        deadline=None,
+        suppress_health_check=[HealthCheck.function_scoped_fixture],
+    )
+    @given(reachable=st.integers(0, 3).map(lambda k: k == 0), data=st.data())
+    def test_exit_code_stdout_and_results(self, reachable, data, run_cli, tmp_path, monkeypatch):
+        argv = data.draw(_reachable_solve() if reachable else _any_argv())
+        # sweep and plot write grids.json and figure.svg without --out
+        monkeypatch.chdir(tmp_path)
+        code, out, _ = run_cli(*argv)
+        assert code in (0, 2, 3)
+        if reachable:
+            assert code == 0
+        if code != 0:
+            assert out == ""
+            return
+        envelope = json.loads(out, parse_constant=_reject_constant)
+        assert out == json.dumps(envelope, indent=2) + "\n"
+        assert envelope["command"] == argv[0]
+        if argv[0] == "compute":
+            flags = dict(arg[2:].split("=", 1) for arg in argv[1:])
+            f, p0 = float(flags["f"]), float(flags["p0"])
+            c_index, p1 = envelope["results"]["c_index"], envelope["results"]["p1"]
+            # p1 is the rounded rr*p0, the product the validation accepted
+            exact = derive_exact(f, p0, Fraction(p1) / Fraction(p0))["c_index"]
+            assert abs(Fraction(c_index) - exact) <= 2 * Fraction(math.ulp(0.5))

@@ -1,4 +1,5 @@
 import math
+import random
 import sys
 from fractions import Fraction
 
@@ -11,6 +12,7 @@ from binaryrisk import (
     DegenerateScenarioError,
     InvalidParamsError,
     PopulationParams,
+    SimulationSpec,
     TargetUnreachableError,
     c_index_closed,
     c_index_three_term,
@@ -22,6 +24,7 @@ from binaryrisk import (
     prevalence_in_controls,
     rr_for_target_c,
     rr_from_par,
+    simulate_cohort,
 )
 
 from _oracles import derive_exact, meets_solver_contract
@@ -275,8 +278,14 @@ class TestDeriveMeasures:
             assert getattr(measures, key) == pytest.approx(float(exact[key]), abs=TOL)
 
     def test_requires_params_type(self):
-        with pytest.raises(InvalidParamsError):
+        # every entry point words a wrong type the same way
+        expected = "^params must be a PopulationParams, got tuple$"
+        with pytest.raises(InvalidParamsError, match=expected):
             derive_measures((0.2, 0.1, 1.5))
+        with pytest.raises(InvalidParamsError, match=expected):
+            SimulationSpec(params=(0.2, 0.1, 1.5), n_subjects=10, seed=1)
+        with pytest.raises(InvalidParamsError, match="^spec must be a SimulationSpec, got dict$"):
+            simulate_cohort({})
 
     @given(open_probabilities(), open_probabilities())
     def test_null_effect_property(self, f, p0):
@@ -406,6 +415,30 @@ class TestMaxFeasibleRr:
         assert rr * p0 <= 1.0
         assert math.nextafter(rr, math.inf) * p0 > 1.0 or rr == 1.0 / p0
 
+    def test_equals_the_nudging_loop(self):
+        def nudged(p0):
+            # the former body: step down from 1/p0 while the rounded product exceeds 1
+            rr = 1.0 / p0
+            while rr * p0 > 1.0:
+                rr = math.nextafter(rr, 0.0)
+            return rr
+
+        rng = random.Random(14)
+        # below 1/max the reciprocal overflows
+        tiny = 1.0 / sys.float_info.max
+        edges = [
+            5e-324, 1e-310, tiny, math.nextafter(tiny, 0.0), math.nextafter(tiny, 1.0),
+            sys.float_info.min, 0.5, math.nextafter(1.0, 0.0),
+        ]
+        uniform = [rng.random() for _ in range(20000)]
+        log_uniform = [2.0 ** rng.uniform(-1074.0, 0.0) for _ in range(20000)]
+        for p0 in edges + [p0 for p0 in uniform + log_uniform if 0.0 < p0 < 1.0]:
+            rr = max_feasible_rr(p0)
+            assert rr == nudged(p0), p0
+            assert PopulationParams(f=0.5, p0=p0, rr=rr).rr == rr
+        # where 1/p0 overflows, the result is the largest float
+        assert max_feasible_rr(5e-324) == sys.float_info.max
+
 
 class TestRrForTargetC:
     def test_recovers_scenario(self):
@@ -427,10 +460,19 @@ class TestRrForTargetC:
         with pytest.raises(InvalidParamsError):
             rr_for_target_c(0.2, 0.10, 0.49)
 
-    @pytest.mark.parametrize("tolerance", [0.0, -1e-9, math.nan, math.inf])
-    def test_invalid_tolerance(self, tolerance):
-        with pytest.raises(InvalidParamsError, match="tolerance"):
+    @pytest.mark.parametrize(
+        "tolerance, message",
+        [
+            pytest.param(0.0, "tolerance must be positive, got 0.0", id="0.0"),
+            pytest.param(-1e-9, "tolerance must be positive, got -1e-09", id="-1e-09"),
+            pytest.param(math.nan, "tolerance must be finite, got nan", id="nan"),
+            pytest.param(math.inf, "tolerance must be finite, got inf", id="inf"),
+        ],
+    )
+    def test_invalid_tolerance(self, tolerance, message):
+        with pytest.raises(InvalidParamsError) as excinfo:
             rr_for_target_c(0.2, 0.10, C_INDEX_02, tolerance=tolerance)
+        assert str(excinfo.value) == message
 
     def test_solution_meets_tolerance_contract(self):
         rr = rr_for_target_c(0.35, 0.08, 0.57, tolerance=1e-10)

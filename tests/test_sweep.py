@@ -14,6 +14,7 @@ from hypothesis.extra.numpy import array_shapes, arrays
 
 from binaryrisk import (
     ContourSet,
+    DegenerateScenarioError,
     GridSpec,
     InvalidParamsError,
     MeasureGrid,
@@ -112,6 +113,28 @@ class TestGridSpec:
             GridSpec(resolution=resolution)
         assert str(excinfo.value) == message
 
+    @pytest.mark.parametrize(
+        "kwargs, message",
+        [
+            ({"p0_min": 0.2, "p0_max": 0.1}, "p0_min must lie below p0_max, got [0.2, 0.1]"),
+            ({"rr_min": 3.0, "rr_max": 1.0}, "rr_min must lie below rr_max, got [3, 1]"),
+            ({"p0_max": 0.001}, "p0_min must lie below p0_max, got [0.001, 0.001]"),
+            # the p0 window is checked before the rr window, each end in turn
+            ({"p0_min": 0.2, "p0_max": 0.1, "rr_min": -1.0}, "p0_min must lie below p0_max"),
+            ({"p0_max": math.nan, "rr_min": math.nan}, "p0_max must be finite, got nan"),
+            ({"p0_min": -0.5, "p0_max": 2.0}, "p0_min must lie in [0, 1], got -0.5"),
+            ({"rr_min": 2.0, "rr_max": math.inf}, "rr_max must be finite, got inf"),
+        ],
+    )
+    def test_window_messages(self, kwargs, message):
+        with pytest.raises(InvalidParamsError) as excinfo:
+            GridSpec(**kwargs)
+        assert str(excinfo.value).startswith(message)
+
+    def test_window_end_at_one_is_degenerate(self):
+        with pytest.raises(DegenerateScenarioError, match="^p0_max = 1 makes the scenario"):
+            GridSpec(p0_max=1.0)
+
     def test_negative_rr_min_is_named(self):
         with pytest.raises(InvalidParamsError, match="^rr_min must be positive, got -1.0$"):
             GridSpec(rr_min=-1.0)
@@ -207,13 +230,14 @@ class TestEvaluateGrid:
             evaluate_grid(default_spec, 0.3)
 
     def test_argument_types_checked(self, default_spec, default_grids):
-        with pytest.raises(InvalidParamsError, match="spec must be a GridSpec, got dict"):
+        # every entry point words a wrong type the same way
+        with pytest.raises(InvalidParamsError, match="^spec must be a GridSpec, got dict$"):
             evaluate_grid({}, 0.5)
-        with pytest.raises(InvalidParamsError, match="grid must be a MeasureGrid, got list"):
+        with pytest.raises(InvalidParamsError, match="^grid must be a MeasureGrid, got list$"):
             extract_contours([], 0.55)
-        with pytest.raises(InvalidParamsError, match="spec must be a GridSpec, got dict"):
+        with pytest.raises(InvalidParamsError, match="^spec must be a GridSpec, got dict$"):
             render_svg(default_grids, {})
-        with pytest.raises(InvalidParamsError, match="grids must be MeasureGrid, got dict"):
+        with pytest.raises(InvalidParamsError, match="^grid must be a MeasureGrid, got dict$"):
             render_svg([{}, {}, {}], default_spec)
 
 
@@ -285,6 +309,19 @@ class TestExtractContours:
         contour = extract_contours(default_grids[1], 0.99)
         assert contour.polylines == ()
         assert isinstance(contour, ContourSet)
+
+    @pytest.mark.parametrize("masked", [False, True], ids=["unmasked", "fully-masked"])
+    def test_levels_never_crossed_stitch_to_nothing(self, default_grids, masked):
+        # no segment at any of several levels: the stitch gets an empty input
+        grid = default_grids[1]
+        if masked:
+            grid = dataclasses.replace(grid, mask=np.ones_like(grid.mask))
+        levels = (0.99, 0.3, -1.0, 0.55) if masked else (0.99, 0.3, -1.0)
+        result = _contour_polylines(grid, levels)
+        assert len(result) == len(levels)
+        for x, y, bounds in result:
+            assert x.size == 0 and y.size == 0
+            assert bounds == [0]
 
     def test_vertices_stay_inside_bounding_box(self, default_spec, default_grids):
         for grid in default_grids:
