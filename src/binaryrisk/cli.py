@@ -247,9 +247,6 @@ def _float_tuple(text: str) -> tuple[float, ...]:
     return values
 
 
-F_HELP = "risk factor prevalence, proportion in (0,1)"
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="binaryrisk",
@@ -271,8 +268,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     sub = parser.add_subparsers(dest="command", required=True, metavar="COMMAND")
 
-    scenario = argparse.ArgumentParser(add_help=False)
-    scenario.add_argument("--f", type=float, required=True, help=F_HELP)
+    prevalence = argparse.ArgumentParser(add_help=False)
+    prevalence.add_argument(
+        "--f", type=float, required=True, help="risk factor prevalence, proportion in (0,1)"
+    )
+    scenario = argparse.ArgumentParser(add_help=False, parents=[prevalence])
     scenario.add_argument(
         "--p0",
         type=float,
@@ -289,9 +289,8 @@ def build_parser() -> argparse.ArgumentParser:
     compute.set_defaults(handler=_cmd_compute)
 
     solve = sub.add_parser(
-        "solve", parents=[common], help="invert PAR or the c-index for the relative risk"
+        "solve", parents=[common, prevalence], help="invert PAR or the c-index for the relative risk"
     )
-    solve.add_argument("--f", type=float, required=True, help=F_HELP)
     solve.add_argument(
         "--p0", type=float, default=None, help="incidence among the unexposed; required with --target-c"
     )

@@ -90,12 +90,10 @@ class SimulationSpec:
 
     def __post_init__(self) -> None:
         _require_type(self.params, PopulationParams, "params")
-        n_subjects = _require_count(self.n_subjects, "n_subjects", minimum=1)
-        if n_subjects > sys.maxsize:
-            # the largest array length numpy can even be asked for
-            raise InvalidParamsError(
-                f"n_subjects must be at most {sys.maxsize}, got {n_subjects}"
-            )
+        # the longest float64 array numpy accepts: its byte count fits an intp
+        n_subjects = _require_count(
+            self.n_subjects, "n_subjects", minimum=1, maximum=sys.maxsize // 8
+        )
         object.__setattr__(self, "n_subjects", n_subjects)
         seed = _require_count(self.seed, "seed")
         if seed > _SEED_MAX:

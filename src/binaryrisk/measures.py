@@ -24,7 +24,8 @@ within one ulp of the root.
 
 All computation is plain 64-bit floating point. Every input check of the
 package goes through one helper per kind of check, all defined here
-(``_require_type``, ``_finite``, ``_prob``, ``_positive``, ``_count``). A
+(``_require_type``, ``_require_finite``, ``_require_prob``,
+``_require_positive``, ``_require_count``). A
 :class:`PopulationParams` that exists is always a realizable population;
 the public scalar helpers check their own arguments, as they take user input.
 """
@@ -93,13 +94,15 @@ def _require_positive(value, name: str, *, allow_zero: bool = False) -> float:
     return x
 
 
-def _require_count(value, name: str, *, minimum: int = 0) -> int:
-    """An integer of at least ``minimum``, as an ``int``; a bool is not a count."""
+def _require_count(value, name: str, *, minimum: int = 0, maximum: int | None = None) -> int:
+    """An integer in [``minimum``, ``maximum``], as an ``int``; a bool is not a count."""
     if isinstance(value, bool) or not hasattr(value, "__index__"):
         raise InvalidParamsError(f"{name} must be an integer, got {value!r}")
     count = operator.index(value)
     if count < minimum:
         raise InvalidParamsError(f"{name} must be at least {minimum}, got {count}")
+    if maximum is not None and count > maximum:
+        raise InvalidParamsError(f"{name} must be at most {maximum}, got {count}")
     return count
 
 

@@ -18,11 +18,11 @@ of the sorted levels against them yields every (cell, level) crossing,
 so the work grows with the crossings rather than with levels times
 cells. Segments are chained into polylines a run at a time: away from
 ties every node joins two segments, so list ranking over all levels of a
-panel at once lays out each strand of such nodes in walk order. The
-Python walk halts only at nodes of degree other than 2 and at each
-strand's smallest inner node, and every run, one step of the walk along
-a strand, ends at the first halt it reaches. The figure writes each
-level's paths with one ``%`` operation over its vertices.
+panel at once lays out the walk's runs. The Python walk halts only at
+nodes of degree other than 2 and at the inner nodes below both of their
+neighbours, and every run, one step of the walk, goes from a halt to the
+next. The figure writes each level's paths with one ``%`` operation over
+its vertices.
 
 The JSON and CSV exporters write each lattice row with one ``%``
 operation over its unmasked values, through a template that already
@@ -36,6 +36,7 @@ resources.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from functools import partial
 from itertools import chain, groupby, repeat
@@ -93,9 +94,11 @@ class GridSpec:
                 raise InvalidParamsError(f"{low} must lie below {high}, got [{lo:g}, {hi:g}]")
             object.__setattr__(self, low, lo)
             object.__setattr__(self, high, hi)
-        object.__setattr__(
-            self, "resolution", _require_count(self.resolution, "resolution", minimum=2)
+        # the lattice is resolution x resolution float64 cells
+        resolution = _require_count(
+            self.resolution, "resolution", minimum=2, maximum=math.isqrt(sys.maxsize // 8)
         )
+        object.__setattr__(self, "resolution", resolution)
         levels = tuple(_require_finite(v, "contour_level") for v in self.contour_levels)
         object.__setattr__(self, "contour_levels", levels)
 
@@ -302,10 +305,9 @@ def _contour_polylines(
 def _list_rank(succ: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Per element: the last element of its list, and how many steps away it is.
 
-    ``succ[d]`` is the element after ``d``, or -1 where a list ends. Pointer
-    jumping (Wyllie 1979) doubles every element's reach per pass, so lists
-    of length L take about log2(L) vector passes. An element on a cycle
-    never reaches an end: the element returned for it still has a successor.
+    ``succ[d]`` is the element after ``d``, or -1 where a list ends; it has
+    no cycles. Pointer jumping (Wyllie 1979) doubles every element's reach
+    per pass, so lists of length L take about log2(L) vector passes.
     """
     n = succ.size
     last = np.where(succ < 0, np.arange(n), succ)
@@ -330,14 +332,14 @@ def _stitch(x, y, bounds) -> list[tuple[np.ndarray, np.ndarray, list[int]]]:
     ascending order, and every step takes the current node's first unused
     segment.
 
-    A node of degree 2 lets the walk go on one way only, so its route along
-    a strand, a string of segments joined at such nodes, is fixed beforehand:
-    list ranking lays out every strand's endpoints in walk order in a few
-    vector passes, and the walk below steps a run at a time. It halts at
-    the nodes of degree other than 2 and at the smallest inner node of each
-    strand, the one inner node where a chain can start, and every run ends
-    at the first halt it reaches. A strand without ends, a loop of degree-2
-    nodes, is cut at that smallest node.
+    A node of degree 2 lets the walk go on one way only, so the route
+    through it is fixed beforehand. The walk below halts at the nodes of
+    degree other than 2 and at each inner node below both of its
+    neighbours; every loop of inner nodes has one, so list ranking lays
+    out, in a few vector passes, runs that each go from a halt to the next,
+    and the walk steps a run at a time. No chain starts at an inner node
+    that is no halt: its smaller neighbour's chains, taken first, have used
+    both of its segments.
 
     Returns, per level, ``(x, y, offsets)``: the vertices of its polylines
     in walk order, and the offsets at which they start, closed by the end.
@@ -356,46 +358,30 @@ def _stitch(x, y, bounds) -> list[tuple[np.ndarray, np.ndarray, list[int]]]:
     node_of = np.empty(n, dtype=np.intp)
     node_of[order] = node_at
     starts = np.flatnonzero(first)
-    nodes = starts.size
     degree = np.diff(starts, append=n)
-    inner = degree == 2
+    halt = degree != 2
+    pair = starts[~halt]
+    d0, d1 = order[pair], order[pair + 1]
+    inner = node_at[pair]
+    low = (inner < node_of[d0 ^ 1]) & (inner < node_of[d1 ^ 1])
+    halt[inner[low]] = True
     # The walk leaves a node by an endpoint d and reaches the far end of its
-    # segment, endpoint d ^ 1. At a node of degree 2 it goes on by the
-    # node's other endpoint: succ[d] is that endpoint, or -1.
+    # segment, endpoint d ^ 1. At an inner node that is no halt it goes on
+    # by the node's other endpoint: succ[d] is that endpoint, or -1.
     partner = np.full(n, -1, dtype=np.intp)
-    pair = starts[inner]
-    partner[order[pair]] = order[pair + 1]
-    partner[order[pair + 1]] = order[pair]
+    partner[d0[~low]] = d1[~low]
+    partner[d1[~low]] = d0[~low]
     succ = partner[np.arange(n) ^ 1]
     last, dist = _list_rank(succ)
-    cyclic = succ[last] >= 0
-    if cyclic.any():
-        # Cut each loop at its smallest node, before both of the endpoints
-        # there; its chain leaves by the one first in node order.
-        label = np.empty(n, dtype=np.intp)
-        label[order] = np.arange(n)
-        low = np.where(cyclic, label, n)
-        hop = np.where(cyclic, succ, np.arange(n))
-        for _ in range(n.bit_length()):
-            low = np.minimum(low, low[hop])
-            hop = hop[hop]
-        succ[partner[cyclic & (low == label)] ^ 1] = -1
-        last, dist = _list_rank(succ)
-    # each strand's endpoints side by side, in walk order
+    # each run's endpoints side by side, in walk order, from a halt to a halt
     length = np.bincount(last, minlength=n)
     head = np.cumsum(length) - length
     pos = head[last] + length[last] - 1 - dist
     seq = np.empty(n, dtype=np.intp)
     seq[pos] = np.arange(n)
 
-    # The walk halts at the nodes of degree other than 2 and at the smallest
-    # inner node of each strand; below they are numbered 0, 1, ... in node
-    # order, and their endpoints are listed in node order.
-    inside = node_of[seq]
-    inside[~inner[inside]] = nodes
-    lowest = np.minimum.reduceat(inside, head[length > 0])
-    halt = ~inner
-    halt[lowest[lowest < nodes]] = True
+    # halts are numbered 0, 1, ... in node order, and their endpoints are
+    # listed in node order
     halts = np.flatnonzero(halt)
     halt_id = np.cumsum(halt) - 1
     at = np.flatnonzero(halt[node_at])
@@ -404,16 +390,15 @@ def _stitch(x, y, bounds) -> list[tuple[np.ndarray, np.ndarray, list[int]]]:
     halt_bounds = np.searchsorted(halts, np.searchsorted(sl[starts], np.arange(levels + 1)))
     odd = halt_id[np.flatnonzero(degree % 2 == 1)]
     odd_cut = np.searchsorted(odd, halt_bounds).tolist()
-    # per endpoint: the first and last positions of its run, up to the
-    # first halt the strand reaches, the run's last segment, and that halt
-    arrive = np.flatnonzero(halt[node_of[seq ^ 1]])
-    stop = arrive[np.searchsorted(arrive, pos[endpoint])]
+    # per endpoint: the first and last positions of its run, the run's last
+    # segment, and the halt it reaches
+    tail = last[endpoint]
     step = list(
         zip(
             pos[endpoint].tolist(),
-            stop.tolist(),
-            (seq[stop] >> 1).tolist(),
-            halt_id[node_of[seq[stop] ^ 1]].tolist(),
+            pos[tail].tolist(),
+            (tail >> 1).tolist(),
+            halt_id[node_of[tail ^ 1]].tolist(),
         )
     )
 

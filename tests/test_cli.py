@@ -281,6 +281,7 @@ class TestSimulate:
         "n, message",
         [
             ("1000000000000000000", "out of memory"),
+            ("2000000000000000000", "n_subjects must be at most"),
             ("10000000000000000000", "n_subjects must be at most"),
         ],
     )
@@ -386,6 +387,17 @@ class TestSweep:
         assert out == ""
         assert err.startswith("error: out of memory")
         assert "--resolution" in err
+        assert not target.exists()
+
+    def test_resolution_beyond_numpy_arrays_exits_2(self, run_cli, tmp_path):
+        # 2^124 cells: more than a numpy array can even be asked to hold
+        target = tmp_path / "grids.json"
+        code, out, err = run_cli(
+            "sweep", "--resolution", str(2**62), "--prevalences", "0.5", "--out", str(target)
+        )
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: resolution must be at most")
         assert not target.exists()
 
     def test_unwritable_out_exits_3(self, run_cli):
@@ -539,7 +551,7 @@ class TestReusedParser:
 # integers out of range and text that is no number.
 _EDGES = st.sampled_from((
     "0", "1", "-1", "5e-324", "1e-300", "1e-310", "0.9999999999999999", "1.0000000000000002",
-    "1e308", "inf", "nan", "-0.0", str(2**64), "x",
+    "1e308", "inf", "nan", "-0.0", str(2**62), str(2**64), "x",
 ))
 
 
@@ -562,7 +574,7 @@ _GRID_FLAGS = {
     "prevalences": _list(_PROB), "p0-min": _PROB, "p0-max": _PROB, "rr-min": _RR,
     "rr-max": _RR, "levels": _list(_C),
     # no lattice above 7 x 7
-    "resolution": st.sampled_from(("-1", "0", "1", "2", "3", "7", "2.5", "x")),
+    "resolution": st.sampled_from(("-1", "0", "1", "2", "3", "7", "2.5", "x", str(2**62))),
 }
 _FLAGS = {
     "compute": {"f": _PROB, "p0": _PROB, "rr": _RR},

@@ -95,9 +95,12 @@ class TestSimulationSpec:
             make_spec(0.2, 0.1, 1.5, 10, seed)
 
     def test_subjects_beyond_sys_maxsize_rejected(self):
-        assert make_spec(0.2, 0.1, 1.5, sys.maxsize, 1).n_subjects == sys.maxsize
-        with pytest.raises(InvalidParamsError, match="at most"):
-            make_spec(0.2, 0.1, 1.5, sys.maxsize + 1, 1)
+        # the longest float64 array numpy accepts is sys.maxsize // 8
+        cap = sys.maxsize // 8
+        assert make_spec(0.2, 0.1, 1.5, cap, 1).n_subjects == cap
+        for n in (cap + 1, sys.maxsize, sys.maxsize + 1):
+            with pytest.raises(InvalidParamsError, match=f"must be at most {cap}, got {n}"):
+                make_spec(0.2, 0.1, 1.5, n, 1)
 
     @pytest.mark.parametrize(
         "n, seed, message",

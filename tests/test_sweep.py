@@ -106,6 +106,8 @@ class TestGridSpec:
             (True, "resolution must be an integer, got True"),
             (2.0, "resolution must be an integer, got 2.0"),
             (1, "resolution must be at least 2, got 1"),
+            # on a 64-bit build: its square, in float64 bytes, fits an intp
+            (2**30, "resolution must be at most 1073741823, got 1073741824"),
         ],
     )
     def test_resolution_messages(self, resolution, message):
@@ -553,10 +555,11 @@ def _node_degrees(contour_set):
 
 
 @st.composite
-def _small_grids(draw, elements=(0.0, 0.25, 0.5, 0.75, 1.0), max_side=5):
-    """Values from a short list that holds the level 0.5, and a mask."""
+def _small_grids(draw, elements=st.sampled_from((0.0, 0.25, 0.5, 0.75, 1.0)), max_side=5):
+    """Values drawn cell by cell from ``elements``, by default a short list
+    that holds the level 0.5, and a mask."""
     shape = draw(array_shapes(min_dims=2, max_dims=2, min_side=2, max_side=max_side))
-    values = draw(arrays(np.float64, shape, elements=st.sampled_from(elements)))
+    values = draw(arrays(np.float64, shape, elements=elements, fill=st.nothing()))
     return values, draw(arrays(np.bool_, shape))
 
 
@@ -639,11 +642,26 @@ class TestContourByteIdentity:
 
     # values from {0, 0.5, 1}: at levels 0.5, 0.0 and 1.0 many crossings
     # land on lattice nodes and merge there
-    @given(_small_grids((0.0, 0.5, 1.0), max_side=12))
+    @given(_small_grids(st.sampled_from((0.0, 0.5, 1.0)), max_side=12))
     def test_tied_grids_property(self, drawn):
         values, mask = drawn
         levels = (0.5, 0.0, 1.0)
         for grid in (_synthetic_grid(values), _synthetic_grid(values, mask)):
+            for level, vertices in zip(levels, _contour_polylines(grid, levels)):
+                expected = _reference_extract_contours(grid, level)
+                assert _packed(_level_contour(level, vertices)) == _packed(expected)
+                assert _packed(extract_contours(grid, level)) == _packed(expected)
+
+    # Continuous fields that rise and fall from cell to cell: their level
+    # sets hold loops with several inner nodes below both of their
+    # neighbours, and strands whose smallest inner node sits next to a
+    # smaller end.
+    @settings(max_examples=100, deadline=None)
+    @given(_small_grids(st.floats(0.0, 1.0), max_side=20), st.data())
+    def test_continuous_grids_property(self, drawn, data):
+        values, mask = drawn
+        for grid in (_synthetic_grid(values), _synthetic_grid(values, mask)):
+            levels = data.draw(_level_lists(values))
             for level, vertices in zip(levels, _contour_polylines(grid, levels)):
                 expected = _reference_extract_contours(grid, level)
                 assert _packed(_level_contour(level, vertices)) == _packed(expected)
