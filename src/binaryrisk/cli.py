@@ -19,16 +19,19 @@ two modules are the package's ``_LAZY`` table, the one list of them.
 parser on the first call and reuses it for every later one, so an
 embedding caller pays the argparse set-up once. Importing this module
 builds no parser; ``build_parser()`` returns a new parser on each call.
+A command's flags are parsed once, by that command's subparser, and the
+envelope is written by ``_json_text``, which gives the bytes of
+``json.dumps(indent=2)`` without its pure-Python encoder.
 """
 
 from __future__ import annotations
 
 import argparse
 import functools
-import json
+import math
 import sys
-from dataclasses import asdict
 from importlib import import_module
+from json.encoder import encode_basestring_ascii
 
 from . import _LAZY
 from .errors import BinaryRiskError, DegenerateScenarioError, InvalidParamsError
@@ -78,6 +81,46 @@ def _command_flags(args) -> dict:
     }
 
 
+def _json_text(value, indent: str = "\n") -> str:
+    """``json.dumps(value, indent=2, allow_nan=False)``, byte for byte.
+
+    Takes dicts with str keys, lists, tuples, str, int, float, bool and
+    None, and raises as ``json.dumps`` does: ``ValueError`` for NaN and
+    infinities, ``TypeError`` for any other type. Each leaf goes through
+    the function ``json`` itself uses for it; only the containers and
+    their indentation are written here, without the encoder's generators.
+    """
+    if isinstance(value, str):
+        return encode_basestring_ascii(value)
+    if value is None:
+        return "null"
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    if isinstance(value, float):
+        if math.isfinite(value):
+            return float.__repr__(value)
+        raise ValueError(f"Out of range float values are not JSON compliant: {value!r}")
+    inner = indent + "  "
+    if isinstance(value, (list, tuple)):
+        if not value:
+            return "[]"
+        items = [_json_text(item, inner) for item in value]
+        return "[" + inner + ("," + inner).join(items) + indent + "]"
+    if isinstance(value, dict):
+        if not value:
+            return "{}"
+        items = [
+            encode_basestring_ascii(key) + ": " + _json_text(item, inner)
+            for key, item in value.items()
+        ]
+        return "{" + inner + ("," + inner).join(items) + indent + "}"
+    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+
+
 def _emit(args, results: dict, warnings=()) -> None:
     envelope = {
         "schema_version": SCHEMA_VERSION,
@@ -88,7 +131,7 @@ def _emit(args, results: dict, warnings=()) -> None:
         "warnings": list(warnings),
     }
     # encode in full before writing, so a failure leaves stdout empty
-    sys.stdout.write(json.dumps(envelope, indent=2, allow_nan=False) + "\n")
+    sys.stdout.write(_json_text(envelope) + "\n")
 
 
 def _flatten(record: dict, prefix: str = "") -> dict:
@@ -129,14 +172,16 @@ def _write_record_payload(args, record: dict) -> dict:
     if args.format == "csv":
         text = _record_csv(record)
     else:
-        text = json.dumps(record, indent=2, allow_nan=False) + "\n"
+        text = _json_text(record) + "\n"
     _write_text(args.out, text)
     return {**record, "files": [args.out]}
 
 
 def _cmd_compute(args) -> int:
     measures = derive_measures(PopulationParams(f=args.f, p0=args.p0, rr=args.rr))
-    _emit(args, _write_record_payload(args, asdict(measures)))
+    # the records are flat and read only: their fields, in field order, need
+    # none of the deep copies dataclasses.asdict makes
+    _emit(args, _write_record_payload(args, vars(measures)))
     return EXIT_OK
 
 
@@ -181,10 +226,10 @@ def _cmd_simulate(args) -> int:
             f"{exc}; increase --n until every margin of the table is populated"
         ) from exc
     f_hat, p0_hat, p1_hat = plugin_rates(counts)
-    empirical_payload = {"f": f_hat, "p0": p0_hat, "rr": p1_hat / p0_hat, **asdict(empirical)}
-    closed_payload = asdict(derive_measures(params))
+    empirical_payload = {"f": f_hat, "p0": p0_hat, "rr": p1_hat / p0_hat, **vars(empirical)}
+    closed_payload = vars(derive_measures(params))
     results = {
-        "counts": asdict(counts),
+        "counts": vars(counts),
         "empirical": empirical_payload,
         "closed_form": closed_payload,
         "difference": {
@@ -247,7 +292,8 @@ def _float_tuple(text: str) -> tuple[float, ...]:
     return values
 
 
-def build_parser() -> argparse.ArgumentParser:
+def _build() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
+    """The top-level parser and the subparser of each command, by name."""
     parser = argparse.ArgumentParser(
         prog="binaryrisk",
         description=(
@@ -351,17 +397,42 @@ def build_parser() -> argparse.ArgumentParser:
     )
     plot.set_defaults(handler=_cmd_plot)
 
-    return parser
+    return parser, sub.choices
+
+
+def build_parser() -> argparse.ArgumentParser:
+    return _build()[0]
 
 
 # Built on the first call of main and kept: argparse reads sys.stdout,
 # sys.stderr and the terminal width when it prints, not when it is built.
-_parser = functools.cache(build_parser)
+_parser = functools.cache(_build)
+
+
+def _parse_args(argv) -> argparse.Namespace:
+    """``parse_args`` of the top-level parser, with a command's flags parsed once.
+
+    The top-level parser would hand everything after the command to that
+    command's subparser anyway, after classifying every string a first
+    time; so a leading command name goes straight to its subparser, and
+    any other argv (none, ``--help``, an unknown command) through the
+    top-level parser. Leftover strings are reported by the top-level
+    parser, as ``parse_args`` reports them.
+    """
+    parser, commands = _parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
+    command = commands.get(argv[0]) if argv else None
+    if command is None:
+        return parser.parse_args(argv)
+    args, extras = command.parse_known_args(argv[1:], argparse.Namespace(command=argv[0]))
+    if extras:
+        parser.error(f"unrecognized arguments: {' '.join(extras)}")
+    return args
 
 
 def main(argv=None) -> int:
     try:
-        args = _parser().parse_args(argv)
+        args = _parse_args(argv)
     except SystemExit as exc:
         # argparse has already written its diagnostic; fold its exit code
         # into the 0/2 contract

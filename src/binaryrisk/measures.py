@@ -125,32 +125,52 @@ def _any(condition) -> bool:
 # arithmetic operators in a fixed order, so floats and numpy arrays give
 # bitwise-equal results.
 
+# Each prevalence below is exposed / (exposed + unexposed). Where the
+# product ``exposed`` falls below the smallest normal float it has lost
+# bits, or all of them, while the quotient need not be small: the quotient
+# is then taken with both terms scaled by this power of two. The scaling is
+# exact, so wherever ``exposed`` is normal the scaled quotient has the bits
+# of the plain one, and an array needs no elementwise selection.
+_UPSCALE = 2.0**1022
+_FLOAT_MIN = sys.float_info.min
+
 
 def _f_cases(f, p0, p1):
-    denom = f * p1 + (1.0 - f) * p0
+    exposed = f * p1
+    unexposed = (1.0 - f) * p0
+    denom = exposed + unexposed
     # Below the smallest normal float the terms of denom have lost bits, and
     # the c-index with them. For 0 < f, p0 < 1 the controls denominator is
-    # at least (1-f)*(1-p0) >= 1.2e-32, so it needs no such floor.
-    if _any(denom < sys.float_info.min):
-        raise DegenerateScenarioError(
-            "overall incidence f*p1 + (1-f)*p0 is zero: no cases exist, so the "
-            "factor prevalence among cases is undefined"
-            if _any(denom <= 0.0)
-            else f"overall incidence f*p1 + (1-f)*p0 lies below the float floor "
-            f"{sys.float_info.min:.3g} (the smallest normal float), where it has "
-            f"lost the precision the measures need"
-        )
-    return f * p1 / denom
+    # at least (1-f)*(1-p0) >= 1.2e-32, so it needs no such floor. As
+    # denom >= exposed, such a denom is met inside this branch.
+    if _any(exposed < _FLOAT_MIN):
+        if _any(denom < _FLOAT_MIN):
+            raise DegenerateScenarioError(
+                "overall incidence f*p1 + (1-f)*p0 is zero: no cases exist, so the "
+                "factor prevalence among cases is undefined"
+                if _any(denom <= 0.0)
+                else f"overall incidence f*p1 + (1-f)*p0 lies below the float floor "
+                f"{_FLOAT_MIN:.3g} (the smallest normal float), where it has "
+                f"lost the precision the measures need"
+            )
+        exposed = f * _UPSCALE * p1
+        return exposed / (exposed + _UPSCALE * unexposed)
+    return exposed / denom
 
 
 def _f_controls(f, p0, p1):
-    denom = f * (1.0 - p1) + (1.0 - f) * (1.0 - p0)
-    if _any(denom <= 0.0):
-        raise DegenerateScenarioError(
-            "f*(1-p1) + (1-f)*(1-p0) is zero: everyone is a case, so the factor "
-            "prevalence among controls is undefined"
-        )
-    return f * (1.0 - p1) / denom
+    exposed = f * (1.0 - p1)
+    unexposed = (1.0 - f) * (1.0 - p0)
+    denom = exposed + unexposed
+    if _any(exposed < _FLOAT_MIN):
+        if _any(denom <= 0.0):
+            raise DegenerateScenarioError(
+                "f*(1-p1) + (1-f)*(1-p0) is zero: everyone is a case, so the factor "
+                "prevalence among controls is undefined"
+            )
+        exposed = f * _UPSCALE * (1.0 - p1)
+        return exposed / (exposed + _UPSCALE * unexposed)
+    return exposed / denom
 
 
 def _par(f, rr):

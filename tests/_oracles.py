@@ -34,6 +34,12 @@ def derive_exact(f, p0, rr):
     }
 
 
+def ulps_off(value, exact):
+    """Distance of a float from an exact value, in ulps of the exact value's
+    float; the smallest subnormal is the smallest ulp."""
+    return abs(Fraction(value) - exact) / Fraction(max(math.ulp(float(exact)), 5e-324))
+
+
 def meets_solver_contract(f, p0, target_c, rr, tolerance):
     """Whether a solved rr meets the c-index solver's contract, exactly.
 

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from binaryrisk import PopulationParams, cli, derive_measures, max_feasible_rr
 from binaryrisk.cli import build_parser, main
 
-from _oracles import derive_exact, meets_solver_contract
+from _oracles import derive_exact, meets_solver_contract, ulps_off
 
 C_INDEX_02 = 0.5408580183861083
 PAR_02 = 0.09090909090909091
@@ -119,6 +119,26 @@ class TestCompute:
         assert code == 2
         assert out == ""
         assert "--out" in err
+
+    @pytest.mark.parametrize(
+        "f, p0, rr, field",
+        [
+            # f*p1 = 1e-400 underflows to 0 while the overall incidence is 1e-200
+            ("1e-300", "1e-200", "1e100", "f_cases"),
+            # f*(1-p1) underflows to 0 while 1 - P is about 1e-16
+            ("5e-324", "0.9999999999999999", "0.5", "f_controls"),
+        ],
+        ids=["f_cases", "f_controls"],
+    )
+    def test_prevalence_whose_product_underflows(self, f, p0, rr, field, run_cli):
+        code, out, _ = run_cli("compute", "--f", f, "--p0", p0, "--rr", rr)
+        assert code == 0
+        results = json.loads(out)["results"]
+        f, p0 = float(f), float(p0)
+        exact = derive_exact(f, p0, Fraction(results["p1"]) / Fraction(p0))
+        assert results[field] > 0.0
+        for name in ("p1", "f_cases", "f_controls", "par", "c_index"):
+            assert ulps_off(results[name], exact[name]) <= 4, name
 
     @pytest.mark.parametrize(
         "argv",
@@ -658,3 +678,95 @@ class TestWholeDomainContract:
             # p1 is the rounded rr*p0, the product the validation accepted
             exact = derive_exact(f, p0, Fraction(p1) / Fraction(p0))["c_index"]
             assert abs(Fraction(c_index) - exact) <= 2 * Fraction(math.ulp(0.5))
+
+
+_SCENARIO = ("--f", "0.2", "--p0", "0.1", "--rr", "1.5")
+_PARSE_CORNERS = [
+    (), ("frobnicate",), ("--help",), ("-h",), ("--", "compute", *_SCENARIO),
+    ("compute", "--f=0.2", "--p0=0.1", "--rr=1.5"),
+    # an abbreviation, an ambiguous one, and a prefix of two commands' flags
+    ("solve", "--f", "0.2", "--p0", "0.1", "--target-c", "0.54", "--tol", "1e-6"),
+    ("solve", "--f", "0.2", "--target", "0.1"),
+    ("sweep", "--p", "0.1"),
+    ("compute", "--f", "0.2", "--", "--p0", "0.1"), ("compute", *_SCENARIO, "--", "x"),
+    ("compute", "-h"), ("compute", *_SCENARIO, "--help"), ("solve", "--he"),
+    ("compute", "--f", "0.3", *_SCENARIO),
+    ("compute", *_SCENARIO, "--bogus", "1"), ("compute", *_SCENARIO, "-x"),
+    ("compute", *_SCENARIO, "extra", "more"), ("compute", "compute", *_SCENARIO),
+    ("simulate", *_SCENARIO, "--n", "2.5", "--seed", "1"),
+    ("compute", "--f", "-1", "--p0", "-0.5", "--rr", "2"), ("compute", "--f"), ("compute",),
+    ("compute", "--format", "xml", *_SCENARIO), ("compute", *_SCENARIO, "--out", "-"),
+    ("plot", "--levels=0.51,,0.52", "--resolution", "-3"),
+]
+
+
+class TestDispatchedParse:
+    """``main`` hands a command's flags straight to that command's subparser;
+    it must print, exit and parse exactly as the whole parser does."""
+
+    @staticmethod
+    def _outcome(parse, argv, capsys):
+        try:
+            namespace, code = list(vars(parse(list(argv))).items()), None
+        except SystemExit as exc:
+            namespace, code = None, exc.code
+        out, err = capsys.readouterr()
+        # repr: a parsed NaN equals no other NaN
+        return code, out, err, repr(namespace)
+
+    def _check(self, argv, capsys):
+        dispatched = self._outcome(cli._parse_args, argv, capsys)
+        assert dispatched == self._outcome(build_parser().parse_args, argv, capsys)
+
+    @pytest.mark.parametrize("argv", _PARSE_CORNERS, ids=lambda argv: " ".join(argv) or "(empty)")
+    def test_corner_cases(self, argv, capsys):
+        self._check(argv, capsys)
+
+    @settings(
+        max_examples=300,
+        deadline=None,
+        suppress_health_check=[HealthCheck.function_scoped_fixture],
+    )
+    @given(argv=_any_argv())
+    def test_whole_domain_argv(self, argv, capsys):
+        self._check(argv, capsys)
+
+    def test_namespace_starts_with_the_command(self):
+        args = cli._parse_args(["compute", *_SCENARIO])
+        assert list(vars(args)) == ["command", "format", "out", "f", "p0", "rr", "handler"]
+
+
+_TEXTS = st.text() | st.sampled_from(('"', "\\", "\x00\x1f\x7f", "é€😀 ", "\ud800", ""))
+_JSON_LEAVES = (
+    st.none() | st.booleans() | st.integers() | st.integers(-(2**200), 2**200) | _TEXTS
+    | st.floats(allow_nan=False, allow_infinity=False)
+    | st.sampled_from((-0.0, 5e-324, sys.float_info.min, 1e308, -1e308, 2.0**53, 0.1))
+)
+_JSON_VALUES = st.recursive(
+    _JSON_LEAVES,
+    lambda children: st.lists(children, max_size=4)
+    | st.lists(children, max_size=4).map(tuple)
+    | st.dictionaries(_TEXTS, children, max_size=4),
+    max_leaves=20,
+)
+
+
+class TestJsonText:
+    """The envelope writer gives the bytes of ``json.dumps(indent=2)``."""
+
+    @settings(max_examples=500, deadline=None)
+    @given(value=_JSON_VALUES)
+    def test_equals_json_dumps(self, value):
+        assert cli._json_text(value) == json.dumps(value, indent=2, allow_nan=False)
+
+    @pytest.mark.parametrize(
+        "value",
+        [math.nan, math.inf, -math.inf, {"x": [1, math.inf]}, {1j: 1}, {"x": 1j}, [{0.5}],
+         (1, b"bytes")],
+        ids=repr,
+    )
+    def test_raises_as_json_dumps(self, value):
+        with pytest.raises((TypeError, ValueError)) as expected:
+            json.dumps(value, indent=2, allow_nan=False)
+        with pytest.raises(expected.type):
+            cli._json_text(value)

@@ -26,8 +26,9 @@ from binaryrisk import (
     rr_from_par,
     simulate_cohort,
 )
+from binaryrisk.measures import _measure_kernel
 
-from _oracles import derive_exact, meets_solver_contract
+from _oracles import derive_exact, meets_solver_contract, ulps_off
 
 # Frozen expectations, computed once with the exact rational oracle
 # (see _oracles.derive_exact); fractions noted for reference.
@@ -353,6 +354,60 @@ class TestFloatFloor:
         # c reaches 0.74 only where P is about 6e-323
         with pytest.raises(DegenerateScenarioError, match="float floor"):
             rr_for_target_c(0.5, 5e-324, 0.74)
+
+
+class TestProductUnderflow:
+    """Where f*p1 or f*(1-p1) falls below the smallest normal float, the
+    prevalence among cases or controls is the quotient with both of its
+    terms scaled by 2**1022: it stays within a few ulp of the exact value,
+    and floats and arrays still give the same bits."""
+
+    EDGES = (5e-324, 1e-310, sys.float_info.min, 1e-300, 1e-200, 1e-16, 0.5, 0.9999999999999999)
+    RR_EDGES = (5e-324, 1e-310, 1e-200, 1e-17, 0.5, 1e100, 1e300, sys.float_info.max)
+
+    def test_prevalences_within_a_few_ulp(self):
+        rng = random.Random(11)
+
+        def draw(edges, low, high):
+            if rng.random() < 0.25:
+                return rng.choice(edges)
+            return math.exp(rng.uniform(math.log(low), math.log(high)))
+
+        checked = underflowed = 0
+        for _ in range(3000):
+            f = min(draw(self.EDGES, 1e-320, 0.999), 0.9999999999999999)
+            p0 = min(draw(self.EDGES, 1e-320, 0.999), 0.9999999999999999)
+            rr = draw(self.RR_EDGES, 1e-300, 1e300)
+            try:
+                params = PopulationParams(f=f, p0=p0, rr=rr)
+                measures = derive_measures(params)
+            except (InvalidParamsError, DegenerateScenarioError):
+                continue
+            exact = derive_exact(f, p0, Fraction(params.p1) / Fraction(p0))
+            assert ulps_off(measures.f_cases, exact["f_cases"]) <= 4, (f, p0, rr)
+            assert ulps_off(measures.f_controls, exact["f_controls"]) <= 4, (f, p0, rr)
+            checked += 1
+            underflowed += min(f * params.p1, f * (1.0 - params.p1)) < sys.float_info.min
+        assert checked > 1500 and underflowed > 300
+
+    @pytest.mark.parametrize(
+        "f, cells",
+        [
+            # f*p1 normal with (1-f)*p0 subnormal; f*p1 subnormal; ordinary
+            (0.9999999999999999, [(1e-300, 1e10), (1e-200, 1e-110), (0.1, 2.0)]),
+            # f*p1 below the floor; f*(1-p1) below the floor; ordinary
+            (1e-300, [(1e-200, 1e100), (0.5, 1.9999999999999998), (0.1, 2.0)]),
+        ],
+    )
+    def test_arrays_match_floats_bitwise(self, f, cells):
+        p0, rr = (np.array(axis) for axis in zip(*cells))
+        columns = _measure_kernel(f, p0, rr * p0, rr)
+        for i, (p0_i, rr_i) in enumerate(cells):
+            row = _measure_kernel(f, p0_i, rr_i * p0_i, rr_i)
+            assert [float(column[i]).hex() for column in columns] == [x.hex() for x in row]
+            exact = derive_exact(f, p0_i, Fraction(row[0]) / Fraction(p0_i))
+            assert ulps_off(row[1], exact["f_cases"]) <= 4
+            assert ulps_off(row[2], exact["f_controls"]) <= 4
 
 
 class TestMonotonicity:
