@@ -19,9 +19,12 @@ two modules are the package's ``_LAZY`` table, the one list of them.
 parser on the first call and reuses it for every later one, so an
 embedding caller pays the argparse set-up once. Importing this module
 builds no parser; ``build_parser()`` returns a new parser on each call.
-A command's flags are parsed once, by that command's subparser, and the
-envelope is written by ``_json_text``, which gives the bytes of
-``json.dumps(indent=2)`` without its pure-Python encoder.
+A plain ``COMMAND --flag value ...`` argv is parsed from a table of the
+command's own argparse actions, built with the parser, into the namespace
+argparse would give; every other argv (help, errors, ``=`` forms,
+abbreviations) goes through ``parse_args``. The envelope is written by
+``_json_text``, which gives the bytes of ``json.dumps(indent=2)`` without
+its pure-Python encoder.
 """
 
 from __future__ import annotations
@@ -292,8 +295,22 @@ def _float_tuple(text: str) -> tuple[float, ...]:
     return values
 
 
-def _build() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
-    """The top-level parser and the subparser of each command, by name."""
+def _flag_table(command: argparse.ArgumentParser):
+    """``(flags, actions, handler)`` of a command whose every flag stores one value.
+
+    ``flags`` maps each option string to its action, ``actions`` lists the
+    non-help actions in declaration order, which is the order of their keys
+    in the namespace. Any other command gets None.
+    """
+    actions = [a for a in command._actions if not isinstance(a, argparse._HelpAction)]
+    if any(type(a) is not argparse._StoreAction or a.nargs is not None for a in actions):
+        return None
+    flags = {option: action for action in actions for option in action.option_strings}
+    return flags, actions, command.get_default("handler")
+
+
+def _build() -> tuple[argparse.ArgumentParser, dict[str, tuple | None]]:
+    """The top-level parser and the flag table of each command, by name."""
     parser = argparse.ArgumentParser(
         prog="binaryrisk",
         description=(
@@ -397,7 +414,7 @@ def _build() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser
     )
     plot.set_defaults(handler=_cmd_plot)
 
-    return parser, sub.choices
+    return parser, {name: _flag_table(command) for name, command in sub.choices.items()}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -409,25 +426,56 @@ def build_parser() -> argparse.ArgumentParser:
 _parser = functools.cache(_build)
 
 
-def _parse_args(argv) -> argparse.Namespace:
-    """``parse_args`` of the top-level parser, with a command's flags parsed once.
+def _plain_args(argv: list, table) -> argparse.Namespace | None:
+    """The namespace ``parse_args`` gives a plain argv, or None for any other.
 
-    The top-level parser would hand everything after the command to that
-    command's subparser anyway, after classifying every string a first
-    time; so a leading command name goes straight to its subparser, and
-    any other argv (none, ``--help``, an unknown command) through the
-    top-level parser. Leftover strings are reported by the top-level
-    parser, as ``parse_args`` reports them.
+    Plain is ``COMMAND`` followed by pairs of an exact option string of
+    that command and a value that does not start with ``-``, which the
+    option's type converts and its choices admit, with every required
+    option present. For such an argv argparse sets each action's value
+    (the last one given) or default in declaration order, then the handler.
     """
-    parser, commands = _parser()
-    argv = sys.argv[1:] if argv is None else list(argv)
-    command = commands.get(argv[0]) if argv else None
-    if command is None:
-        return parser.parse_args(argv)
-    args, extras = command.parse_known_args(argv[1:], argparse.Namespace(command=argv[0]))
-    if extras:
-        parser.error(f"unrecognized arguments: {' '.join(extras)}")
+    flags, actions, handler = table
+    # an even length leaves the last flag without a value
+    if not len(argv) % 2:
+        return None
+    values = {}
+    for flag, text in zip(argv[1::2], argv[2::2]):
+        action = flags.get(flag)
+        if action is None or type(text) is not str or text.startswith("-"):
+            return None
+        try:
+            value = text if action.type is None else action.type(text)
+        except (TypeError, ValueError, argparse.ArgumentTypeError):
+            return None
+        if action.choices is not None and value not in action.choices:
+            return None
+        values[action] = value
+    args = argparse.Namespace(command=argv[0])
+    for action in actions:
+        if action in values:
+            setattr(args, action.dest, values[action])
+        elif action.required:
+            return None
+        else:
+            setattr(args, action.dest, action.default)
+    args.handler = handler
     return args
+
+
+def _parse_args(argv) -> argparse.Namespace:
+    """``parse_args`` of the top-level parser, without argparse for a plain argv.
+
+    A plain argv (see ``_plain_args``) is parsed from the command's flag
+    table without argparse; any other, such as
+    ``--help``, an error, an ``=`` form or an abbreviation, goes to the
+    whole parser, which prints and exits as it always has.
+    """
+    parser, tables = _parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
+    table = tables.get(argv[0]) if argv else None
+    args = None if table is None else _plain_args(argv, table)
+    return parser.parse_args(argv) if args is None else args
 
 
 def main(argv=None) -> int:

@@ -1,3 +1,4 @@
+import argparse
 import json
 import math
 import subprocess
@@ -613,6 +614,21 @@ _SHARED_FLAGS = {
 }
 
 
+def _flag_tokens(draw, flag, value):
+    """``--flag=value`` a quarter of the time, else the two strings ``--flag value``
+    that scripted callers send; most argvs then take the flag-table path."""
+    return [f"--{flag}", value] if draw(st.integers(0, 3)) else [f"--{flag}={value}"]
+
+
+def _flag_values(argv):
+    """The value of each flag of an argv written by ``_flag_tokens``, by flag name."""
+    values, tokens = {}, iter(argv[1:])
+    for token in tokens:
+        flag, equals, value = token[2:].partition("=")
+        values[flag] = value if equals else next(tokens)
+    return values
+
+
 @st.composite
 def _reachable_solve(draw):
     """``solve --target-c`` for a target in [1/2, c(max_feasible_rr(p0))], with p0 >= 1e-300."""
@@ -622,24 +638,27 @@ def _reachable_solve(draw):
               | st.floats(1e-300, 1.0, exclude_max=True))
     top = derive_measures(PopulationParams(f=f, p0=p0, rr=max_feasible_rr(p0))).c_index
     target = min(0.5 + draw(st.floats(0.0, 1.0)) * (top - 0.5), top)
-    argv = ["solve", f"--f={f!r}", f"--p0={p0!r}", f"--target-c={target!r}"]
+    argv = ["solve"]
+    for flag, value in (("f", f), ("p0", p0), ("target-c", target)):
+        argv += _flag_tokens(draw, flag, repr(value))
     if draw(st.booleans()):
-        argv.append(f"--tolerance={draw(st.sampled_from(('1e-6', '1e-10', '1e-14')))}")
+        argv += _flag_tokens(draw, "tolerance", draw(st.sampled_from(("1e-6", "1e-10", "1e-14"))))
     return argv
 
 
 @st.composite
 def _any_argv(draw):
-    """Any command, each of its flags present or not, with a value drawn as in ``_FLAGS``."""
+    """Any command, each of its flags present or not, with a value drawn as in ``_FLAGS``,
+    each in either of the two forms of ``_flag_tokens``."""
     command = draw(st.sampled_from(sorted(_FLAGS)))
     argv = [command]
     for flag, values in _FLAGS[command].items():
         # without --resolution a lattice would be 201 x 201
         if flag == "resolution" or draw(st.integers(0, 15)):
-            argv.append(f"--{flag}={draw(values)}")
+            argv += _flag_tokens(draw, flag, draw(values))
     for flag, values in _SHARED_FLAGS.items():
         if not draw(st.integers(0, 3)):
-            argv.append(f"--{flag}={draw(values)}")
+            argv += _flag_tokens(draw, flag, draw(values))
     return argv
 
 
@@ -672,7 +691,7 @@ class TestWholeDomainContract:
         assert out == json.dumps(envelope, indent=2) + "\n"
         assert envelope["command"] == argv[0]
         if argv[0] == "compute":
-            flags = dict(arg[2:].split("=", 1) for arg in argv[1:])
+            flags = _flag_values(argv)
             f, p0 = float(flags["f"]), float(flags["p0"])
             c_index, p1 = envelope["results"]["c_index"], envelope["results"]["p1"]
             # p1 is the rounded rr*p0, the product the validation accepted
@@ -697,12 +716,18 @@ _PARSE_CORNERS = [
     ("compute", "--f", "-1", "--p0", "-0.5", "--rr", "2"), ("compute", "--f"), ("compute",),
     ("compute", "--format", "xml", *_SCENARIO), ("compute", *_SCENARIO, "--out", "-"),
     ("plot", "--levels=0.51,,0.52", "--resolution", "-3"),
+    # plain argvs at the borders of the flag table
+    ("compute", "--rr", "1.5", "--p0", "0.1", "--f", "0.2"),
+    ("compute", "--f", " 0.2", "--p0", "0.1", "--rr", "1.5"),
+    ("simulate", *_SCENARIO, "--n", "1_000", "--seed", "1"), ("compute", *_SCENARIO, "--out", ""),
+    ("compute", *_SCENARIO, "--format", "csv"), ("compute", "--f", "x", *_SCENARIO),
+    ("sweep", "--prevalences", "0.1,,0.3"), ("compute", *_SCENARIO, "--out", "-h"),
 ]
 
 
 class TestDispatchedParse:
-    """``main`` hands a command's flags straight to that command's subparser;
-    it must print, exit and parse exactly as the whole parser does."""
+    """``main`` parses a plain argv from the command's flag table and any other
+    through argparse; it must print, exit and parse exactly as the whole parser does."""
 
     @staticmethod
     def _outcome(parse, argv, capsys):
@@ -734,6 +759,46 @@ class TestDispatchedParse:
     def test_namespace_starts_with_the_command(self):
         args = cli._parse_args(["compute", *_SCENARIO])
         assert list(vars(args)) == ["command", "format", "out", "f", "p0", "rr", "handler"]
+
+    def test_plain_argv_never_calls_argparse(self, run_cli, tmp_path, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("argparse parsed a plain argv")
+
+        monkeypatch.setattr(argparse.ArgumentParser, "parse_args", refuse)
+        monkeypatch.setattr(argparse.ArgumentParser, "parse_known_args", refuse)
+        out = str(tmp_path / "payload")
+        grid = ("--prevalences", "0.2", "--resolution", "5", "--out", out)
+        for argv in [
+            ("compute", *_SCENARIO),
+            ("solve", "--f", "0.2", "--p0", "0.1", "--target-c", "0.54"),
+            ("simulate", *_SCENARIO, "--n", "2000", "--seed", "7", "--format", "csv", "--out", out),
+            ("sweep", *grid), ("plot", "--levels", "0.51", *grid),
+        ]:
+            assert run_cli(*argv)[0] == 0, argv
+
+    def test_value_that_is_no_str_fails_as_argparse_fails(self):
+        argv = ["compute", "--f", 0.2, "--p0", "0.1", "--rr", "1.5"]
+        with pytest.raises(TypeError) as expected:
+            build_parser().parse_args(argv)
+        with pytest.raises(TypeError) as raised:
+            cli._parse_args(argv)
+        assert str(raised.value) == str(expected.value)
+
+    def test_flag_table_assumptions(self):
+        # the table copies action.default verbatim: parse_args converts a str
+        # default through the type, and an nargs would make a value a list
+        parser = build_parser()
+        commands = next(
+            action.choices for action in parser._actions
+            if isinstance(action, argparse._SubParsersAction)
+        )
+        for name, command in commands.items():
+            for action in command._actions:
+                if isinstance(action, argparse._HelpAction):
+                    continue
+                assert action.nargs is None, (name, action.dest)
+                assert not (isinstance(action.default, str) and action.type), (name, action.dest)
+        assert all(table is not None for table in cli._parser()[1].values())
 
 
 _TEXTS = st.text() | st.sampled_from(('"', "\\", "\x00\x1f\x7f", "é€😀 ", "\ud800", ""))
