@@ -4,13 +4,24 @@ These deliberately avoid the library's float code paths: the measures are
 recomputed in exact rational arithmetic, the pairwise c statistic by
 explicit enumeration over the expanded cohort, the cohort counts by a
 per-subject threshold tabulation of the documented draw, and contour
-vertices are checked by a locally written bilinear interpolation.
+vertices are checked by a locally written bilinear interpolation. The one
+exception is ``bisect_rr_for_target_c``, a frozen copy of an earlier solver
+that the current one must match bit for bit.
 """
 
 import math
 from fractions import Fraction
 
 import numpy as np
+
+from binaryrisk.errors import InvalidParamsError, TargetUnreachableError
+from binaryrisk.measures import (
+    _measure_kernel,
+    _require_finite,
+    _require_positive,
+    _require_prob,
+    max_feasible_rr,
+)
 
 
 def derive_exact(f, p0, rr):
@@ -43,16 +54,79 @@ def ulps_off(value, exact):
 def meets_solver_contract(f, p0, target_c, rr, tolerance):
     """Whether a solved rr meets the c-index solver's contract, exactly.
 
-    Either the exact c-index at the float rr is within ``tolerance`` of
-    the target, or the exact root lies between rr's two float neighbours
-    (the exact c-index is increasing in rr).
+    Either the exact c-index at rr is within ``tolerance`` of the target,
+    or the exact root lies between rr's two float neighbours (the exact
+    c-index is increasing in rr). Each float rr is read as the library reads
+    it, as the scenario whose p1 is the rounded product rr*p0, capped at 1
+    for a neighbour above ``max_feasible_rr(p0)``; the ``compute`` check of
+    the CLI tests reads p1 the same way. Near p1 = 1 the two readings can
+    differ by far more than the tolerance: at f = 1 - 2**-53 and p0 = 0.75,
+    rr = 1.3333333333333333 has the exact product 1 - 5.6e-17, where the
+    c-index is about 2/3, and the rounded product 1, where it is 1 - 4.2e-17.
     """
     target = Fraction(target_c)
-    if abs(derive_exact(f, p0, rr)["c_index"] - target) <= Fraction(tolerance):
+
+    def c_index(r):
+        return derive_exact(f, p0, Fraction(min(r * p0, 1.0)) / Fraction(p0))["c_index"]
+
+    if abs(c_index(rr) - target) <= Fraction(tolerance):
         return True
-    below = derive_exact(f, p0, math.nextafter(rr, 0.0))["c_index"]
-    above = derive_exact(f, p0, math.nextafter(rr, math.inf))["c_index"]
-    return below <= target <= above
+    return c_index(math.nextafter(rr, 0.0)) <= target <= c_index(math.nextafter(rr, math.inf))
+
+
+def bisect_rr_for_target_c(f, p0, target_c, *, tolerance=1e-10):
+    """The bisection of ``measures.rr_for_target_c`` as it was before the
+    solver skipped evaluations away from the closed-form root, verbatim.
+
+    Unlike the oracles above it runs the library's own float kernel: it is
+    the reference whose result bits, and whose exceptions, the solver must
+    reproduce exactly.
+    """
+    f = _require_prob(f, "f", open_interval=True)
+    p0 = _require_prob(p0, "p0", open_interval=True)
+    target = _require_finite(target_c, "target_c")
+    if target < 0.5:
+        raise InvalidParamsError(
+            f"target_c must be at least 0.5 (the c-index at rr = 1), got {target}"
+        )
+    tol = _require_positive(tolerance, "tolerance")
+
+    lo = 1.0
+    hi = max_feasible_rr(p0)
+
+    # Every rr in [1, hi] keeps rr * p0 <= 1: the scenario needs no re-validation.
+    def c_at(rr: float) -> float:
+        return _measure_kernel(f, p0, rr * p0, rr)[4]
+
+    c_hi = c_at(hi)
+    if target > c_hi + tol:
+        raise TargetUnreachableError(
+            f"target_c = {target:.12g} is unreachable: the achievable c-index "
+            f"range is [0.5, {c_hi:.12g}] for f = {f:g}, p0 = {p0:g} with rr "
+            f"in [1, {hi:.6g}]"
+        )
+    if target > c_hi:
+        # e.g. the c of an rr one ulp below hi, which rounds above c(hi)
+        return hi
+    # c(1) is exactly 1/2; evaluating it could fall below the float floor
+    c_lo = 0.5
+    if target <= c_lo:
+        return lo
+
+    # c_lo < target <= c_hi holds throughout
+    while True:
+        # rounds as 0.5 * (lo + hi) does, but cannot overflow near 1.8e308
+        mid = 0.5 * lo + 0.5 * hi
+        c_mid = c_at(mid)
+        if abs(c_mid - target) <= tol and (hi - lo) <= tol:
+            return mid
+        if mid == lo or mid == hi:
+            # lo and hi are adjacent floats: the bracket cannot shrink
+            return lo if target - c_lo < c_hi - target else hi
+        if c_mid < target:
+            lo, c_lo = mid, c_mid
+        else:
+            hi, c_hi = mid, c_mid
 
 
 def pairwise_c_enumerated(counts):

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from binaryrisk import PopulationParams, cli, derive_measures, max_feasible_rr
+from binaryrisk import PopulationParams, cli, derive_measures, max_feasible_rr, par
 from binaryrisk.cli import build_parser, main
 
 from _oracles import derive_exact, meets_solver_contract, ulps_off
@@ -631,15 +631,20 @@ def _flag_values(argv):
 
 @st.composite
 def _reachable_solve(draw):
-    """``solve --target-c`` for a target in [1/2, c(max_feasible_rr(p0))], with p0 >= 1e-300."""
+    """``solve --target-c`` for a target in [1/2, c(max_feasible_rr(p0))], with p0 >= 1e-300,
+    or, a quarter of the time, ``solve --target-par`` for the PAR of an rr in [1, 1e6]."""
     f = draw(st.sampled_from((5e-324, 1e-300, 0.5, 0.9999999999999999))
              | st.floats(0.0, 1.0, exclude_min=True, exclude_max=True))
-    p0 = draw(st.sampled_from((1e-300, 1e-10, 0.5, 0.9999999999999999))
-              | st.floats(1e-300, 1.0, exclude_max=True))
-    top = derive_measures(PopulationParams(f=f, p0=p0, rr=max_feasible_rr(p0))).c_index
-    target = min(0.5 + draw(st.floats(0.0, 1.0)) * (top - 0.5), top)
+    if not draw(st.integers(0, 3)):
+        flags = (("f", f), ("target-par", par(f, draw(st.floats(1.0, 1e6)))))
+    else:
+        p0 = draw(st.sampled_from((1e-300, 1e-10, 0.5, 0.9999999999999999))
+                  | st.floats(1e-300, 1.0, exclude_max=True))
+        top = derive_measures(PopulationParams(f=f, p0=p0, rr=max_feasible_rr(p0))).c_index
+        target = min(0.5 + draw(st.floats(0.0, 1.0)) * (top - 0.5), top)
+        flags = (("f", f), ("p0", p0), ("target-c", target))
     argv = ["solve"]
-    for flag, value in (("f", f), ("p0", p0), ("target-c", target)):
+    for flag, value in flags:
         argv += _flag_tokens(draw, flag, repr(value))
     if draw(st.booleans()):
         argv += _flag_tokens(draw, "tolerance", draw(st.sampled_from(("1e-6", "1e-10", "1e-14"))))
@@ -690,13 +695,25 @@ class TestWholeDomainContract:
         envelope = json.loads(out, parse_constant=_reject_constant)
         assert out == json.dumps(envelope, indent=2) + "\n"
         assert envelope["command"] == argv[0]
+        flags = _flag_values(argv)
         if argv[0] == "compute":
-            flags = _flag_values(argv)
             f, p0 = float(flags["f"]), float(flags["p0"])
             c_index, p1 = envelope["results"]["c_index"], envelope["results"]["p1"]
             # p1 is the rounded rr*p0, the product the validation accepted
             exact = derive_exact(f, p0, Fraction(p1) / Fraction(p0))["c_index"]
             assert abs(Fraction(c_index) - exact) <= 2 * Fraction(math.ulp(0.5))
+        elif argv[0] == "solve":
+            f, rr = float(flags["f"]), envelope["results"]["rr"]
+            verification = envelope["results"]["verification"]
+            if "target-c" in flags:
+                p0, target = float(flags["p0"]), float(flags["target-c"])
+                tolerance = float(flags.get("tolerance", 1e-10))
+                assert meets_solver_contract(f, p0, target, rr, tolerance)
+                forward = derive_measures(PopulationParams(f=f, p0=p0, rr=rr))
+                assert verification["c_index"] == forward.c_index
+            else:
+                excess = Fraction(f) * (Fraction(rr) - 1)
+                assert ulps_off(verification["par"], excess / (excess + 1)) <= 4
 
 
 _SCENARIO = ("--f", "0.2", "--p0", "0.1", "--rr", "1.5")

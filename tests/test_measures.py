@@ -1,6 +1,8 @@
 import math
 import random
+import statistics
 import sys
+from collections import Counter
 from fractions import Fraction
 
 import numpy as np
@@ -9,6 +11,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from binaryrisk import (
+    BinaryRiskError,
     DegenerateScenarioError,
     InvalidParamsError,
     PopulationParams,
@@ -26,9 +29,10 @@ from binaryrisk import (
     rr_from_par,
     simulate_cohort,
 )
-from binaryrisk.measures import _measure_kernel
+from binaryrisk import measures as measures_module
+from binaryrisk.measures import _closed_root, _measure_kernel
 
-from _oracles import derive_exact, meets_solver_contract, ulps_off
+from _oracles import bisect_rr_for_target_c, derive_exact, meets_solver_contract, ulps_off
 
 # Frozen expectations, computed once with the exact rational oracle
 # (see _oracles.derive_exact); fractions noted for reference.
@@ -582,3 +586,128 @@ class TestRrForTargetC:
             rr = max_feasible_rr(p0)
         target = derive_measures(PopulationParams(f=f, p0=p0, rr=rr)).c_index
         assert abs(rr_for_target_c(f, p0, target) - rr) <= 1e-10
+
+
+def _workload_solve(rng):
+    """(f, p0, target) as the scalar benchmark draws a ``solve --target-c``:
+    f and p0 to 6 digits, a target inside (1/2, c(1/p0)) to 12 digits."""
+    f = float(f"{rng.uniform(0.01, 0.9):.6g}")
+    p0 = float(f"{math.exp(rng.uniform(math.log(1e-4), math.log(0.3))):.6g}")
+    top = 0.5 * (1.0 + f / (f + (1.0 - f) * p0))
+    return f, p0, float(f"{0.5 + (top - 0.5) * rng.uniform(0.001, 0.999):.12g}")
+
+
+def _solver_outcome(solve, f, p0, target, tolerance):
+    """The result bits of a solve, or the type and message of what it raised."""
+    keywords = {} if tolerance is None else {"tolerance": tolerance}
+    try:
+        return solve(f, p0, target, **keywords).hex()
+    except BinaryRiskError as exc:
+        return type(exc).__name__, str(exc)
+
+
+def _outcome_kind_matching_reference(case):
+    """Check that the solver and the reference bisection give the same outcome
+    for ``case``; return ``"root"`` or the name of the error both raised."""
+    expected = _solver_outcome(bisect_rr_for_target_c, *case)
+    assert _solver_outcome(rr_for_target_c, *case) == expected, case
+    return expected[0] if isinstance(expected, tuple) else "root"
+
+
+class TestSolverSkipsOnlyCertainSigns:
+    """``rr_for_target_c`` evaluates c only in a certified zone around the
+    closed-form root and where the bracket is within the tolerance; everywhere
+    else the sign of c(mid) - target is known. It must return the bits of the
+    bisection that evaluated every midpoint, and raise what that one raised."""
+
+    EDGES = (
+        5e-324, 1e-310, sys.float_info.min, 1e-300, 1e-200, 1e-100, 1e-30, 1e-12, 1e-4,
+        0.1, 0.5, 0.9, 1.0 - 1e-9, 1.0 - 1e-15, 0.9999999999999999,
+    )
+    TOLERANCES = (None, 1e-10, 1e-14, 1e-300, 5e-324, 1e-3, 0.1)
+
+    def _edge_case(self, rng):
+        def probability():
+            kind = rng.randrange(3)
+            if kind == 0:
+                return rng.choice(self.EDGES)
+            if kind == 1:
+                return math.exp(rng.uniform(math.log(1e-300), math.log(0.9999999999999999)))
+            return rng.random() or 0.5
+
+        f, p0 = probability(), probability()
+        try:
+            top = derive_measures(PopulationParams(f=f, p0=p0, rr=max_feasible_rr(p0))).c_index
+        except DegenerateScenarioError:
+            top = 0.75
+        target = rng.choice((
+            math.nextafter(0.5, 1.0), top, math.nextafter(top, 0.0),
+            0.5 + rng.random() * (top - 0.5), rng.uniform(0.5, 1.0),
+        ))
+        if rng.random() < 0.05:
+            target = rng.uniform(0.45, 0.5)
+        return f, p0, target, rng.choice(self.TOLERANCES)
+
+    def test_bits_and_errors_match_the_reference_bisection(self):
+        rng = random.Random(18)
+        kinds = Counter(
+            _outcome_kind_matching_reference(self._edge_case(rng)) for _ in range(20000)
+        )
+        assert kinds["root"] > 12000
+        for error in ("DegenerateScenarioError", "TargetUnreachableError", "InvalidParamsError"):
+            assert kinds[error] > 100, kinds
+
+    def test_roots_just_above_the_float_floor(self):
+        # with f*p0 below the floor, midpoints below the root can raise where
+        # the root itself does not: every one of them must still be evaluated
+        kinds = Counter()
+        for p0 in (1e-310, 1e-320, 3e-323):
+            for f in (0.3, 0.5, 0.9):
+                floor_rr = sys.float_info.min / (f * p0)
+                for step in (1e-6, 1e-4, 1e-3, 1e-2, 0.1, 1.0):
+                    rr = min(floor_rr * (1.0 + step), max_feasible_rr(p0))
+                    try:
+                        target = derive_measures(PopulationParams(f=f, p0=p0, rr=rr)).c_index
+                    except DegenerateScenarioError:
+                        continue
+                    for tolerance in (None, 1e-14):
+                        kinds[_outcome_kind_matching_reference((f, p0, target, tolerance))] += 1
+        assert kinds["root"] >= 10 and kinds["DegenerateScenarioError"] >= 20, kinds
+
+    def test_a_few_kernel_evaluations_per_workload_solve(self, monkeypatch):
+        kernel = measures_module._measure_kernel
+        evaluations = [0]
+
+        def counted(*args):
+            evaluations[0] += 1
+            return kernel(*args)
+
+        rng = random.Random(180)
+        cases = [_workload_solve(rng) for _ in range(1000)]
+        expected = [bisect_rr_for_target_c(*case).hex() for case in cases]
+        monkeypatch.setattr(measures_module, "_measure_kernel", counted)
+        per_solve = []
+        for case, bits in zip(cases, expected):
+            evaluations[0] = 0
+            assert rr_for_target_c(*case).hex() == bits, case
+            per_solve.append(evaluations[0])
+        # the reference bisection takes a median of 43
+        assert statistics.median(per_solve) <= 8
+
+    @given(
+        f=st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+        p0=st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+        target=st.floats(0.5, 1.0, exclude_min=True, exclude_max=True),
+    )
+    @example(f=5e-324, p0=5e-324, target=math.nextafter(0.5, 1.0))
+    @example(f=1e-200, p0=1e-200, target=0.9999999999999999)
+    @example(f=0.9999999999999999, p0=0.9999999999999999, target=1.0)
+    def test_closed_root_is_a_float_and_never_raises(self, f, p0, target):
+        assert isinstance(_closed_root(f, p0, target), float)
+
+    def test_closed_root_solves_the_exact_c_index(self):
+        rng = random.Random(19)
+        for _ in range(200):
+            f, p0, target = _workload_solve(rng)
+            c_index = derive_exact(f, p0, _closed_root(f, p0, target))["c_index"]
+            assert abs(c_index - Fraction(target)) <= Fraction(1, 10**13)
