@@ -393,7 +393,7 @@ def rr_for_target_c(f, p0, target_c, *, tolerance=1e-10) -> float:
 
     Most midpoints need no evaluation of c. Where f*p0 is at or above the
     float floor, c is evaluated on both sides of the closed-form root
-    (:func:`_closed_root`) at a relative distance of 1e-12, 1e-9 or 1e-6;
+    (:func:`_closed_root`) at a relative distance of 1e-12, else 1e-9;
     once both values clear the target by a bound far above their rounding
     error, every midpoint outside that thin zone lies on a known side of the
     root. Such a midpoint moves the bracket without an evaluation, and the
@@ -444,27 +444,26 @@ def rr_for_target_c(f, p0, target_c, *, tolerance=1e-10) -> float:
 
     # The zone (z_lo, z_hi) around the closed-form root holds every midpoint
     # whose sign of c(mid) - target is in doubt; outside it the sign is known
-    # without evaluating c. Float c_at(m) is the exact c at m' = fl(m*p0)/p0,
-    # which lies in m[1-u, 1+u] (u the unit roundoff), plus an absolute error
-    # E of about 9u: every later operation works on that one p1, a relative
-    # error in 1-p1 moves f_controls by at most the same relative amount, and
-    # the upscaled quotient of _f_controls is exact scaling. Exact c strictly
-    # increases in rr. So c_at(a) < target - 2E gives c_at(mid) < target for
-    # every mid <= a(1-8u), and c_at(b) > target + 2E gives c_at(mid) > target
-    # for every mid >= b(1+8u): bisection would step exactly as it does below,
-    # to the same midpoints and the same result bits. The bound, 256u, is 2E
-    # with a wide margin. With f*p0 at or above the float floor, no rr in
-    # [1, hi] reaches the floor's raise or the upscaled branch of _f_cases, so
-    # no skipped evaluation could have raised. In every other case the zone
-    # is the whole line, and every midpoint is evaluated.
+    # without evaluating c. Float c_at(m) depends on m only through the float
+    # p1 = fl(m*p0), and there it is the exact c at that p1 plus an absolute
+    # error E of about 9u (u the unit roundoff). Rounding is monotone, so
+    # mid <= a gives fl(mid*p0) <= fl(a*p0), and exact c increases in p1:
+    # c_at(mid) <= c_at(a) + 2E. So c_at(a) < target - 2E gives
+    # c_at(mid) < target for every mid <= a, and c_at(b) > target + 2E gives
+    # c_at(mid) > target for every mid >= b: bisection would step exactly as
+    # it does below, to the same midpoints and the same result bits. The
+    # bound, 256u, is 2E with a wide margin. With f*p0 at or above the float
+    # floor, no rr in [1, hi] reaches the floor's raise or the upscaled branch
+    # of _f_cases, so no skipped evaluation could have raised. In every other
+    # case the zone is the whole line, and every midpoint is evaluated.
     z_lo, z_hi = 0.0, math.inf
     if f * p0 >= _FLOAT_MIN:
         root = _closed_root(f, p0, target)
         bound = 128.0 * _EPSILON
-        for kappa in (1e-12, 1e-9, 1e-6):
+        for kappa in (1e-12, 1e-9):
             a, b = root * (1.0 - kappa), root * (1.0 + kappa)
             if 1.0 < a and b < hi and c_at(a) < target - bound and c_at(b) > target + bound:
-                z_lo, z_hi = a * (1.0 - 4.0 * _EPSILON), b * (1.0 + 4.0 * _EPSILON)
+                z_lo, z_hi = a, b
                 break
 
     # c_lo < target <= c_hi holds throughout; an end's c is None until needed

@@ -54,24 +54,16 @@ def ulps_off(value, exact):
 def meets_solver_contract(f, p0, target_c, rr, tolerance):
     """Whether a solved rr meets the c-index solver's contract, exactly.
 
-    Either the exact c-index at rr is within ``tolerance`` of the target,
-    or the exact root lies between rr's two float neighbours (the exact
-    c-index is increasing in rr). Each float rr is read as the library reads
-    it, as the scenario whose p1 is the rounded product rr*p0, capped at 1
-    for a neighbour above ``max_feasible_rr(p0)``; the ``compute`` check of
-    the CLI tests reads p1 the same way. Near p1 = 1 the two readings can
-    differ by far more than the tolerance: at f = 1 - 2**-53 and p0 = 0.75,
-    rr = 1.3333333333333333 has the exact product 1 - 5.6e-17, where the
-    c-index is about 2/3, and the rounded product 1, where it is 1 - 4.2e-17.
+    Either the exact c-index at the float rr is within ``tolerance`` of
+    the target, or the exact root lies between rr's two float neighbours
+    (the exact c-index is increasing in rr).
     """
     target = Fraction(target_c)
-
-    def c_index(r):
-        return derive_exact(f, p0, Fraction(min(r * p0, 1.0)) / Fraction(p0))["c_index"]
-
-    if abs(c_index(rr) - target) <= Fraction(tolerance):
+    if abs(derive_exact(f, p0, rr)["c_index"] - target) <= Fraction(tolerance):
         return True
-    return c_index(math.nextafter(rr, 0.0)) <= target <= c_index(math.nextafter(rr, math.inf))
+    below = derive_exact(f, p0, math.nextafter(rr, 0.0))["c_index"]
+    above = derive_exact(f, p0, math.nextafter(rr, math.inf))["c_index"]
+    return below <= target <= above
 
 
 def bisect_rr_for_target_c(f, p0, target_c, *, tolerance=1e-10):

@@ -629,26 +629,39 @@ def _flag_values(argv):
     return values
 
 
-@st.composite
-def _reachable_solve(draw):
-    """``solve --target-c`` for a target in [1/2, c(max_feasible_rr(p0))], with p0 >= 1e-300,
-    or, a quarter of the time, ``solve --target-par`` for the PAR of an rr in [1, 1e6]."""
-    f = draw(st.sampled_from((5e-324, 1e-300, 0.5, 0.9999999999999999))
-             | st.floats(0.0, 1.0, exclude_min=True, exclude_max=True))
-    if not draw(st.integers(0, 3)):
-        flags = (("f", f), ("target-par", par(f, draw(st.floats(1.0, 1e6)))))
-    else:
-        p0 = draw(st.sampled_from((1e-300, 1e-10, 0.5, 0.9999999999999999))
-                  | st.floats(1e-300, 1.0, exclude_max=True))
-        top = derive_measures(PopulationParams(f=f, p0=p0, rr=max_feasible_rr(p0))).c_index
-        target = min(0.5 + draw(st.floats(0.0, 1.0)) * (top - 0.5), top)
-        flags = (("f", f), ("p0", p0), ("target-c", target))
-    argv = ["solve"]
-    for flag, value in flags:
-        argv += _flag_tokens(draw, flag, repr(value))
+def _with_tolerance(draw, argv):
+    """``argv``, and half the time a ``--tolerance`` after its flags."""
     if draw(st.booleans()):
         argv += _flag_tokens(draw, "tolerance", draw(st.sampled_from(("1e-6", "1e-10", "1e-14"))))
     return argv
+
+
+_REACHABLE_F = (st.sampled_from((5e-324, 1e-300, 0.5, 0.9999999999999999))
+                | st.floats(0.0, 1.0, exclude_min=True, exclude_max=True))
+
+
+@st.composite
+def _reachable_solve(draw):
+    """``solve --target-c`` for a target in [1/2, c(max_feasible_rr(p0))], with p0 >= 1e-300."""
+    f = draw(_REACHABLE_F)
+    p0 = draw(st.sampled_from((1e-300, 1e-10, 0.5, 0.9999999999999999))
+              | st.floats(1e-300, 1.0, exclude_max=True))
+    top = derive_measures(PopulationParams(f=f, p0=p0, rr=max_feasible_rr(p0))).c_index
+    target = min(0.5 + draw(st.floats(0.0, 1.0)) * (top - 0.5), top)
+    argv = ["solve"]
+    for flag, value in (("f", f), ("p0", p0), ("target-c", target)):
+        argv += _flag_tokens(draw, flag, repr(value))
+    return _with_tolerance(draw, argv)
+
+
+@st.composite
+def _reachable_par_solve(draw):
+    """``solve --target-par`` for the PAR of an rr in [1, 1e6]."""
+    f = draw(_REACHABLE_F)
+    argv = ["solve"]
+    for flag, value in (("f", f), ("target-par", par(f, draw(st.floats(1.0, 1e6))))):
+        argv += _flag_tokens(draw, flag, repr(value))
+    return _with_tolerance(draw, argv)
 
 
 @st.composite
@@ -671,6 +684,38 @@ def _reject_constant(name):
     raise ValueError(f"{name} is not JSON")
 
 
+# Where the rounded product rr*p0 lies within four floats of 1, the kernel's
+# 1 - p1 can be 0 or off by its own size, so the c-index the library computes
+# for a printed rr can differ from the exact one by up to about 1/3 (the
+# FOUND line on p1 near 1 in CHANGES.md). The exact solver contract is not
+# met there; TestWholeDomainContract.test_exact_contract_near_p1_one pins it.
+_NEAR_ONE = 4 * 2.0**-53
+
+
+def _check_exit_zero_results(argv, envelope):
+    """Check what an exit-0 run of ``argv`` printed against the exact oracles."""
+    flags = _flag_values(argv)
+    if argv[0] == "compute":
+        f, p0 = float(flags["f"]), float(flags["p0"])
+        c_index, p1 = envelope["results"]["c_index"], envelope["results"]["p1"]
+        # p1 is the rounded rr*p0, the product the validation accepted
+        exact = derive_exact(f, p0, Fraction(p1) / Fraction(p0))["c_index"]
+        assert abs(Fraction(c_index) - exact) <= 2 * Fraction(math.ulp(0.5))
+    elif argv[0] == "solve":
+        f, rr = float(flags["f"]), envelope["results"]["rr"]
+        verification = envelope["results"]["verification"]
+        if "target-c" in flags:
+            p0, target = float(flags["p0"]), float(flags["target-c"])
+            forward = derive_measures(PopulationParams(f=f, p0=p0, rr=rr))
+            assert verification["c_index"] == forward.c_index
+            if 1.0 - rr * p0 > _NEAR_ONE:
+                tolerance = float(flags.get("tolerance", 1e-10))
+                assert meets_solver_contract(f, p0, target, rr, tolerance)
+        else:
+            excess = Fraction(f) * (Fraction(rr) - 1)
+            assert ulps_off(verification["par"], excess / (excess + 1)) <= 4
+
+
 class TestWholeDomainContract:
     """Every argv gets exit 0 with one strict-JSON envelope, or exit 2 or 3 and
     an empty stdout; what exit 0 reports is checked against the exact oracles."""
@@ -682,38 +727,46 @@ class TestWholeDomainContract:
     )
     @given(reachable=st.integers(0, 3).map(lambda k: k == 0), data=st.data())
     def test_exit_code_stdout_and_results(self, reachable, data, run_cli, tmp_path, monkeypatch):
-        argv = data.draw(_reachable_solve() if reachable else _any_argv())
+        # a reachable draw runs one --target-c and one --target-par solve
+        if reachable:
+            argvs = [data.draw(_reachable_solve()), data.draw(_reachable_par_solve())]
+        else:
+            argvs = [data.draw(_any_argv())]
         # sweep and plot write grids.json and figure.svg without --out
         monkeypatch.chdir(tmp_path)
-        code, out, _ = run_cli(*argv)
-        assert code in (0, 2, 3)
-        if reachable:
-            assert code == 0
+        for argv in argvs:
+            code, out, _ = run_cli(*argv)
+            assert code in (0, 2, 3)
+            if reachable:
+                assert code == 0
+            if code != 0:
+                assert out == ""
+                continue
+            envelope = json.loads(out, parse_constant=_reject_constant)
+            assert out == json.dumps(envelope, indent=2) + "\n"
+            assert envelope["command"] == argv[0]
+            _check_exit_zero_results(argv, envelope)
+
+    @pytest.mark.xfail(
+        strict=True,
+        raises=AssertionError,
+        reason="FOUND (CHANGES.md): near p1 = 1 the printed rr's exact c-index misses "
+        "the target, because the kernel reads p1 as the rounded rr*p0",
+    )
+    @pytest.mark.parametrize("f, p0, target_c", [
+        # rr 1.3333333333333333: exact product 1 - 5.6e-17, exact c about 2/3
+        ("0.9999999999999999", "0.75", "1"),
+        # rr max_feasible_rr(p0): its exact product exceeds 1
+        ("0.5", "0.9999999999999999", "0.75"),
+    ])
+    def test_exact_contract_near_p1_one(self, run_cli, f, p0, target_c):
+        code, out, _ = run_cli("solve", "--f", f, "--p0", p0, "--target-c", target_c)
         if code != 0:
-            assert out == ""
-            return
-        envelope = json.loads(out, parse_constant=_reject_constant)
-        assert out == json.dumps(envelope, indent=2) + "\n"
-        assert envelope["command"] == argv[0]
-        flags = _flag_values(argv)
-        if argv[0] == "compute":
-            f, p0 = float(flags["f"]), float(flags["p0"])
-            c_index, p1 = envelope["results"]["c_index"], envelope["results"]["p1"]
-            # p1 is the rounded rr*p0, the product the validation accepted
-            exact = derive_exact(f, p0, Fraction(p1) / Fraction(p0))["c_index"]
-            assert abs(Fraction(c_index) - exact) <= 2 * Fraction(math.ulp(0.5))
-        elif argv[0] == "solve":
-            f, rr = float(flags["f"]), envelope["results"]["rr"]
-            verification = envelope["results"]["verification"]
-            if "target-c" in flags:
-                p0, target = float(flags["p0"]), float(flags["target-c"])
-                tolerance = float(flags.get("tolerance", 1e-10))
-                assert meets_solver_contract(f, p0, target, rr, tolerance)
-                forward = derive_measures(PopulationParams(f=f, p0=p0, rr=rr))
-                assert verification["c_index"] == forward.c_index
-            else:
-                excess = Fraction(f) * (Fraction(rr) - 1)
-                assert ulps_off(verification["par"], excess / (excess + 1)) <= 4
+            pytest.fail(f"exit {code}")
+        rr = json.loads(out)["results"]["rr"]
+        if 1.0 - rr * float(p0) > _NEAR_ONE:
+            pytest.fail(f"rr {rr!r} is not near p1 = 1")
+        assert meets_solver_contract(float(f), float(p0), float(target_c), rr, 1e-10)
 
 
 _SCENARIO = ("--f", "0.2", "--p0", "0.1", "--rr", "1.5")
