@@ -24,9 +24,12 @@ neighbours, and every run, one step of the walk, goes from a halt to the
 next. The figure writes each level's paths with one ``%`` operation over
 its vertices.
 
-The JSON and CSV exporters write each lattice row with one ``%``
-operation over its unmasked values, through a template that already
-holds the masked cells' text.
+The JSON and CSV exporters write the cells in blocks of about 4 096.
+One numpy kernel turns a block's c-values into their ``"%.12g"`` texts;
+values off its fast path, [0.1, 1), go through Python's ``%``. Each
+cell then becomes a fixed-width record of NUL-padded fields (its
+separator, the text, and in CSV the axis columns), and one
+``bytes.translate`` drops the padding of the whole block.
 
 The SVG writer is deliberately small and fully deterministic: the same
 grids produce the same bytes, with no timestamps, random ids, or external
@@ -38,8 +41,7 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass
-from functools import partial
-from itertools import chain, groupby, repeat
+from functools import cache, partial
 
 import numpy as np
 
@@ -692,25 +694,127 @@ def _json_floats(template: str, values: tuple) -> str:
     return template.replace("%.12g", "%s") % tuple(texts)
 
 
-def _rows(grid: MeasureGrid):
-    """Per lattice row: its mask runs and its unmasked c-index values.
+# The exporters' "%.12g" kernel. On an rr >= 1 lattice every c-value lies in
+# [0.1, 1), where "%.12g" % v is "0." and the 12 digits of q = round(v * 1e12)
+# with its trailing zeros dropped. q is written as groups of 2, 4, 4 and 2
+# digits, each one little-endian word of ASCII digits looked up in a table
+# whose second half holds the same words with trailing zeros as NUL bytes.
+_SPLIT = 134217729.0  # 2**27 + 1, Veltkamp's splitter
+_E12_HI = _SPLIT * 1e12 - (_SPLIT * 1e12 - 1e12)
+_E12_LO = 1e12 - _E12_HI
+_DIGITS = np.dtype([("point", "S2"), ("g1", "<u2"), ("g2", "<u4"), ("g3", "<u4"), ("g4", "<u2")])
 
-    A run is ``(masked, start, stop)`` over a stretch of equal mask flags,
-    so a row's format template is built from a few slices of text, and the
-    values tuple feeds one ``%`` operation.
+
+@cache
+def _digit_words() -> tuple[np.ndarray, np.ndarray]:
+    """The words of 00 .. 99 and of 0000 .. 9999, each table then repeated stripped.
+
+    Built on first use, so importing the module costs no numpy work.
     """
-    unmasked = ~grid.mask
-    values = grid.c_values[unmasked].tolist()
-    stops = np.cumsum(unmasked.sum(axis=1)).tolist()
-    start = 0
-    for mask_row, stop in zip(grid.mask.tolist(), stops):
-        runs, column = [], 0
-        for masked, run in groupby(mask_row):
-            width = len(list(run))
-            runs.append((masked, column, column + width))
-            column += width
-        yield tuple(runs), tuple(values[start:stop])
-        start = stop
+    k = np.arange(100, dtype=np.uint32)
+    tens, ones = k // 10 + ord("0"), k % 10 + ord("0")
+    pairs = tens | ones << 8
+    stripped = np.where(k % 10, pairs, np.where(k, tens, 0))
+    high = pairs[:, None]
+    quads = (high | pairs << 16, np.where(k == 0, stripped[:, None], high | stripped << 16))
+    return (
+        np.concatenate((pairs, stripped)).astype("<u2"),
+        np.concatenate([words.ravel() for words in quads]).astype("<u4"),
+    )
+
+
+def _format12(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``(fast, texts)``: where ``fast``, ``texts`` holds ``"%.12g" % v`` as NUL-padded ``S14``.
+
+    ``fast`` marks the values in [0.1, 1) whose 12-digit rounding stays
+    below 1; elsewhere ``texts`` is meaningless. Those values are replaced
+    before any arithmetic, so NaN and infinities raise no warning.
+    p = fl(v * 1e12) rounds to the nearest integer, ties to even, exactly as
+    ``%`` rounds the decimal expansion of v, unless p is a half-integer that
+    the rounding of the product made: there the sign of the product's error,
+    Dekker's two-product, says which way the exact v * 1e12 lies.
+    """
+    values = values.ravel()
+    fast = (values >= 0.1) & (values < 1.0)
+    v = np.where(fast, values, 0.5)
+    p = v * 1e12
+    q = np.rint(p)
+    half = np.flatnonzero(np.abs(p - q) == 0.5)
+    if half.size:
+        a, tie, above = v[half], p[half], p[half] - q[half]
+        hi = _SPLIT * a - (_SPLIT * a - a)
+        lo = a - hi
+        error = ((hi * _E12_HI - tie) + hi * _E12_LO + lo * _E12_HI) + lo * _E12_LO
+        q[half] += np.where(np.sign(error) == np.sign(above), 2.0 * above, 0.0)
+    fast &= q < 1e12
+    n = np.where(fast, q, 1e11).astype(np.int64)
+    g1, rest = np.divmod(n, 10**10)
+    g2, tail = np.divmod(rest, 10**6)
+    g3, g4 = np.divmod(tail, 100)
+    pairs, quads = _digit_words()
+    texts = np.empty(n.size, _DIGITS)
+    texts["point"] = b"0."
+    # a group takes its stripped word when every digit after it is 0
+    texts["g1"] = pairs[g1 + 100 * (rest == 0)]
+    texts["g2"] = quads[g2 + 10000 * (tail == 0)]
+    texts["g3"] = quads[g3 + 10000 * (g4 == 0)]
+    texts["g4"] = pairs[g4 + 100]
+    return fast, texts.view("S14")
+
+
+_BLOCK = 4096  # cells per block of the exporters
+
+
+def _blocks(grid: MeasureGrid):
+    """Row-major blocks of about ``_BLOCK`` cells: ``(rows, cols)`` slices.
+
+    A block is a run of whole rows, or a stretch of one row if a row alone
+    is wider than ``_BLOCK``, so what the exporters hold stays bounded.
+    """
+    rows, cols = grid.c_values.shape
+    width = max(1, min(cols, _BLOCK))
+    step = max(1, _BLOCK // width)
+    for i in range(0, rows, step):
+        for j in range(0, cols, width):
+            yield slice(i, min(i + step, rows)), slice(j, min(j + width, cols))
+
+
+def _cell_texts(values, masked, masked_text: bytes, slow_text) -> np.ndarray:
+    """Per cell of a block, its text as an ``S`` array of the block's shape.
+
+    A masked cell reads ``masked_text``, any other ``"%.12g" % v`` from
+    :func:`_format12`, or ``slow_text(v)`` outside its fast path.
+    """
+    fast, texts = _format12(values)
+    slow = np.flatnonzero(~(fast | masked.ravel()))
+    if slow.size:
+        slow_texts = np.array([slow_text(v) for v in values.ravel()[slow].tolist()], dtype="S")
+        texts = texts.astype(np.promote_types(texts.dtype, slow_texts.dtype))
+        texts[slow] = slow_texts
+    texts = texts.reshape(values.shape)
+    texts[masked] = masked_text
+    return texts
+
+
+def _joined(opens, *fields) -> str:
+    """A block's text: per row ``opens[row]``, then per cell its ``fields`` side by side.
+
+    ``opens`` is an ``S`` array broadcast to the block's rows, each field
+    one broadcast to its (rows, cols) cells. Each row becomes one
+    fixed-width record, and the NUL padding of every field is dropped from
+    all of them at once.
+    """
+    rows, cols = np.broadcast(*fields).shape
+    cell = np.dtype([("", field.dtype) for field in fields])
+    records = np.empty(rows, [("open", opens.dtype), ("cells", cell, (cols,))])
+    records["open"] = opens
+    cells = records["cells"]
+    for name, field in zip(cell.names, fields):
+        cells[name] = field
+    return records.tobytes().translate(None, b"\0").decode("ascii")
+
+
+_NO_OPEN = np.array(b"")
 
 
 def grids_to_csv(grids) -> str:
@@ -722,20 +826,23 @@ def grids_to_csv(grids) -> str:
     parts = ["f,p0,rr,par,c_index,masked\n"]
     for grid in grids:
         f_text = format(grid.prevalence, ".12g")
-        heads = [f"{f_text},{p0:.12g}," for p0 in grid.p0_axis.tolist()]
+        heads = np.array([f"{f_text},{p0:.12g}," for p0 in grid.p0_axis.tolist()], dtype="S")
         axes = zip(grid.rr_axis.tolist(), grid.par_axis.tolist())
-        for (rr, par_value), (runs, values) in zip(axes, _rows(grid)):
-            middle = f"{rr:.12g},{par_value:.12g},"
-            # a masked cell's whole text sits in the template; it takes no value
-            tails = (middle + "%.12g,false\n", middle + ",true\n")
-            template = "".join(tails[m].join(heads[a:b]) + tails[m] for m, a, b in runs)
-            parts.append(template % values)
+        middles = np.array([f"{rr:.12g},{par_value:.12g}," for rr, par_value in axes], dtype="S")
+        for rows, cols in _blocks(grid):
+            masked = grid.mask[rows, cols]
+            texts = _cell_texts(grid.c_values[rows, cols], masked, b"", "%.12g".__mod__)
+            tails = np.where(masked, b",true\n", b",false\n")
+            parts.append(_joined(_NO_OPEN, heads[None, cols], middles[rows, None], texts, tails))
     return "".join(parts)
 
 
-def _json_run_array(runs, texts: tuple[str, str]) -> str:
-    """A c_values or mask row array: ``texts[masked]`` for each cell of each run."""
-    return _json_array(list(chain.from_iterable(repeat(texts[m], b - a) for m, a, b in runs)), 8)
+# The JSON c_values and mask arrays open with _JSON_FIRST, each further row
+# opens with _JSON_ROW, and every cell but a row's first follows _JSON_NEXT.
+_JSON_FIRST = b"[\n" + b" " * 8 + b"[\n" + b" " * 10
+_JSON_ROW = b"\n" + b" " * 8 + b"],\n" + b" " * 8 + b"[\n" + b" " * 10
+_JSON_NEXT = b",\n" + b" " * 10
+_JSON_CLOSE = "\n" + " " * 8 + "]\n" + " " * 6 + "]"
 
 
 def _grid_json_parts(grid: MeasureGrid) -> list[str]:
@@ -744,25 +851,22 @@ def _grid_json_parts(grid: MeasureGrid) -> list[str]:
         values = tuple(getattr(grid, name).tolist())
         text = _json_floats(_json_array(["%.12g"] * len(values), 6), values)
         parts.append(f',\n      "{name}": {text}')
-    # (c_values row template, mask row text) per mask pattern: rows without
-    # a masked cell share one of each
-    templates = {}
-    c_rows, mask_rows = [], []
-    for runs, values in _rows(grid):
-        if runs not in templates:
-            templates[runs] = (
-                _json_run_array(runs, ("%.12g", "null")),
-                _json_run_array(runs, ("false", "true")),
-            )
-        c_template, mask_text = templates[runs]
-        c_rows.append([_json_floats(c_template, values)])
-        mask_rows.append([mask_text])
-    parts.append(',\n      "c_values": ')
-    _extend_json_array(parts, c_rows, 6)
-    parts.append(',\n      "mask": ')
-    _extend_json_array(parts, mask_rows, 6)
-    parts.append("\n    }")
-    return parts
+    if not grid.c_values.size:
+        empty = _json_array(["[]"] * grid.rr_axis.size, 6)
+        return parts + [f',\n      "c_values": {empty},\n      "mask": {empty}\n    }}']
+    leads = np.full(grid.p0_axis.size, _JSON_NEXT)
+    leads[0] = b""
+    c_parts, mask_parts = [',\n      "c_values": '], [',\n      "mask": ']
+    for rows, cols in _blocks(grid):
+        masked = grid.mask[rows, cols]
+        texts = _cell_texts(grid.c_values[rows, cols], masked, b"null", _json_float)
+        # a block that starts inside a row opens none
+        opens = np.full(masked.shape[0], _JSON_ROW) if cols.start == 0 else _NO_OPEN
+        if rows.start == cols.start == 0:
+            opens[0] = _JSON_FIRST
+        c_parts.append(_joined(opens, leads[cols], texts))
+        mask_parts.append(_joined(opens, leads[cols], np.where(masked, b"true", b"false")))
+    return parts + c_parts + [_JSON_CLOSE] + mask_parts + [_JSON_CLOSE, "\n    }"]
 
 
 def grids_to_json(grids, spec: GridSpec) -> str:

@@ -6,11 +6,12 @@ import sys
 import xml.etree.ElementTree as ET
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from binaryrisk import PopulationParams, cli, derive_measures, max_feasible_rr, par
+from binaryrisk import GridSpec, PopulationParams, cli, derive_measures, max_feasible_rr, par
 from binaryrisk.cli import build_parser, main
 
 from _oracles import derive_exact, meets_solver_contract, ulps_off
@@ -665,6 +666,26 @@ def _reachable_par_solve(draw):
 
 
 @st.composite
+def _valid_sweep(draw):
+    """``sweep`` as JSON or CSV over a valid window, on a lattice of at most 7 x 7,
+    with p0 >= 1e-300 and rr windows that reach into the masked corner rr*p0 > 1."""
+    p0 = sorted(draw(st.lists(st.floats(1e-300, 1.0, exclude_max=True),
+                              min_size=2, max_size=2, unique=True)))
+    rr = sorted(draw(st.lists(st.floats(0.5, 5.0), min_size=2, max_size=2, unique=True)))
+    prevalences = draw(st.lists(_REACHABLE_F, min_size=1, max_size=3))
+    argv = ["sweep"]
+    for flag, value in (
+        ("prevalences", ",".join(map(repr, prevalences))),
+        ("p0-min", repr(p0[0])), ("p0-max", repr(p0[1])),
+        ("rr-min", repr(rr[0])), ("rr-max", repr(rr[1])),
+        ("resolution", str(draw(st.integers(2, 7)))),
+        ("format", draw(st.sampled_from(("json", "csv")))),
+    ):
+        argv += _flag_tokens(draw, flag, value)
+    return argv
+
+
+@st.composite
 def _any_argv(draw):
     """Any command, each of its flags present or not, with a value drawn as in ``_FLAGS``,
     each in either of the two forms of ``_flag_tokens``."""
@@ -692,6 +713,55 @@ def _reject_constant(name):
 _NEAR_ONE = 4 * 2.0**-53
 
 
+def _sweep_cells(envelope):
+    """Per cell of a sweep payload, in payload order: its c text as an exact
+    ``Fraction`` (None if masked), its mask flag, and its (f, p0, rr) as floats.
+
+    The lattice is read from the envelope's inputs, with ``GridSpec``'s
+    defaults for the flags left out: ``resolution`` evenly spaced floats per
+    axis, rr row by row and p0 within a row, one panel per prevalence.
+    """
+    inputs, defaults = envelope["inputs"], GridSpec()
+    spec = {
+        key: getattr(defaults, key) if inputs[key] is None else inputs[key]
+        for key in ("prevalences", "p0_min", "p0_max", "rr_min", "rr_max", "resolution")
+    }
+    p0_axis = np.linspace(spec["p0_min"], spec["p0_max"], spec["resolution"]).tolist()
+    rr_axis = np.linspace(spec["rr_min"], spec["rr_max"], spec["resolution"]).tolist()
+    lattice = [(f, p0, rr) for f in spec["prevalences"] for rr in rr_axis for p0 in p0_axis]
+    with open(envelope["results"]["files"][0], encoding="utf-8") as handle:
+        text = handle.read()
+    if inputs["format"] == "csv":
+        rows = [row.split(",") for row in text.splitlines()[1:]]
+        cells = [(Fraction(row[4]) if row[4] else None, row[5] == "true") for row in rows]
+    else:
+        # the exact decimal of each text, not its nearest float
+        grids = json.loads(text, parse_float=Fraction)["grids"]
+        cells = [
+            cell
+            for grid in grids
+            for values, flags in zip(grid["c_values"], grid["mask"])
+            for cell in zip(values, flags)
+        ]
+    assert len(cells) == len(lattice)
+    return [(value, masked, *point) for (value, masked), point in zip(cells, lattice)]
+
+
+def _check_sweep_payload(envelope):
+    """Every mask flag is the float test rr*p0 > 1, and every other cell is
+    the exact c-index rounded to 12 significant digits, give or take the
+    2 ulp(1/2) that ``compute``'s c-index may be off by."""
+    for value, masked, f, p0, rr in _sweep_cells(envelope):
+        assert masked == (rr * p0 > 1.0)
+        if masked:
+            assert value is None
+            continue
+        # as for compute, the exact c at the rounded product p1 the kernel reads
+        exact = derive_exact(f, p0, Fraction(rr * p0) / Fraction(p0))["c_index"]
+        half_unit = Fraction(1, 2) * Fraction(10) ** (math.floor(math.log10(exact)) - 11)
+        assert abs(value - exact) <= half_unit + 2 * Fraction(math.ulp(0.5)), (f, p0, rr)
+
+
 def _check_exit_zero_results(argv, envelope):
     """Check what an exit-0 run of ``argv`` printed against the exact oracles."""
     flags = _flag_values(argv)
@@ -714,6 +784,8 @@ def _check_exit_zero_results(argv, envelope):
         else:
             excess = Fraction(f) * (Fraction(rr) - 1)
             assert ulps_off(verification["par"], excess / (excess + 1)) <= 4
+    elif argv[0] == "sweep":
+        _check_sweep_payload(envelope)
 
 
 class TestWholeDomainContract:
@@ -727,9 +799,11 @@ class TestWholeDomainContract:
     )
     @given(reachable=st.integers(0, 3).map(lambda k: k == 0), data=st.data())
     def test_exit_code_stdout_and_results(self, reachable, data, run_cli, tmp_path, monkeypatch):
-        # a reachable draw runs one --target-c and one --target-par solve
+        # a reachable draw runs one --target-c and one --target-par solve and one
+        # sweep over a valid window
         if reachable:
-            argvs = [data.draw(_reachable_solve()), data.draw(_reachable_par_solve())]
+            argvs = [data.draw(_reachable_solve()), data.draw(_reachable_par_solve()),
+                     data.draw(_valid_sweep())]
         else:
             argvs = [data.draw(_any_argv())]
         # sweep and plot write grids.json and figure.svg without --out

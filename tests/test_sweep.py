@@ -28,7 +28,7 @@ from binaryrisk import (
     par,
     render_svg,
 )
-from binaryrisk.sweep import _contour_polylines, _json_float
+from binaryrisk.sweep import _BLOCK, _contour_polylines, _format12, _json_float
 
 from _oracles import bilinear_c
 
@@ -910,7 +910,7 @@ def _reference_grids_to_csv(grids):
 
 
 def _fix_up_grid():
-    """Every fix-up and masking branch of the exporters' row path.
+    """Every fix-up and masking branch of the exporters.
 
     Row 0 holds values whose ``.12g`` text is integral or has an exponent,
     row 1 a -0.0; row 2 is fully masked, row 3 has a masked prefix, and
@@ -936,8 +936,54 @@ def _fix_up_grid():
     )
 
 
+def _near_ties(rng, size):
+    """13-digit decimals in [0.1, 1) that end in 5: their products with 1e12
+    round to half-integers, where ``_format12``'s tie correction decides
+    the last digit."""
+    return (10 * rng.integers(10**11, 10**12, size) + 5) / 1e13
+
+
+def _block_grids():
+    """Two lattices over several exporter blocks.
+
+    The first has rows wider than a block, so blocks start inside rows; the
+    second has blocks of several rows. Each holds near-tie values, values
+    off the kernel's fast path (c < 0.1, c = 1, one that rounds to 1), and
+    masked cells that are no row prefix: a run across a block boundary,
+    interior cells, and masked cells holding finite values.
+    """
+    rng = np.random.default_rng(19)
+    grids = []
+    # boundary: the first cell of the second block
+    for rows, cols, boundary in ((3, _BLOCK + 904, _BLOCK), (9, 1000, (_BLOCK // 1000) * 1000)):
+        values = rng.uniform(0.5, 1.0, rows * cols)
+        values[::3] = _near_ties(rng, values[::3].size)
+        values[5::101] = 0.0625
+        values[7::103] = 1.0
+        values[9::107] = 0.9999999999996
+        values[11::109] = 1e-5
+        mask = np.zeros(rows * cols, dtype=bool)
+        mask[boundary - 6 : boundary + 6] = True
+        mask[2 * cols + 13 :: 17] = True
+        values[mask & (np.arange(mask.size) % 2 == 0)] = np.nan
+        grids.append(
+            MeasureGrid(
+                prevalence=0.3,
+                p0_axis=np.linspace(0.01, 0.2, cols),
+                rr_axis=np.linspace(1.0, 2.0, rows),
+                c_values=values.reshape(rows, cols),
+                par_axis=np.linspace(0.0, 0.2, rows),
+                mask=mask.reshape(rows, cols),
+            )
+        )
+    return grids
+
+
 @pytest.fixture(
-    params=["default", "wide", "resolution_2", "empty", "generator", "exponent_levels", "fix_ups"]
+    params=[
+        "default", "wide", "resolution_2", "empty", "generator", "exponent_levels", "fix_ups",
+        "blocks", "no_cells",
+    ]
 )
 def export_case(request, default_spec, default_grids, wide_spec, wide_grid):
     """(spec, grids, what the exporter under test is given)."""
@@ -946,6 +992,16 @@ def export_case(request, default_spec, default_grids, wide_spec, wide_grid):
         return wide_spec, [wide_grid], [wide_grid]
     if case == "fix_ups":
         grids = [_fix_up_grid()]
+        return GridSpec(prevalences=(0.3,)), grids, grids
+    if case == "blocks":
+        grids = _block_grids()
+        return GridSpec(prevalences=(0.3,)), grids, grids
+    if case == "no_cells":
+        # lattices with rows of no cells, and with no rows
+        grids = [
+            MeasureGrid(0.3, [], [1.0, 2.0], np.empty((2, 0)), [0.0, 0.2], np.empty((2, 0))),
+            MeasureGrid(0.3, [0.1], [], np.empty((0, 1)), [], np.empty((0, 1))),
+        ]
         return GridSpec(prevalences=(0.3,)), grids, grids
     if case == "empty":
         return default_spec, [], []
@@ -989,3 +1045,51 @@ class TestExportByteIdentity:
         grid = _synthetic_grid(values)
         with pytest.raises(RenderError):
             grids_to_json([grid], GridSpec(prevalences=(0.2,)))
+
+
+def _format12_mismatches(values):
+    """The values whose ``_format12`` fast flag or text disagrees with ``"%.12g" %``.
+
+    The fast path is meant to cover exactly the values in [0.1, 1) whose
+    12-digit rounding stays below 1.
+    """
+    values = np.asarray(values, dtype=float)
+    fast, texts = _format12(values)
+    wrong = []
+    for v, is_fast, text in zip(values.tolist(), fast.tolist(), texts.tolist()):
+        expected = "%.12g" % v
+        if is_fast != (0.1 <= v < 1.0 and expected != "1") or (
+            is_fast and text.decode("ascii") != expected
+        ):
+            wrong.append((v, is_fast, text, expected))
+    return wrong
+
+
+def _format12_sample():
+    """A seeded sample of about 220 000 values around every edge of the fast path."""
+    rng = np.random.default_rng(12)
+    ties = (2 * np.arange(4096) + 1) / 8192  # v * 1e12 is exactly a half-integer
+    edges = [0.1, 0.9999999999995, 1.0, 0.0, -0.0, 5e-324, 1e-310, np.nan, np.inf, -np.inf]
+    values = np.concatenate((
+        rng.uniform(0.0, 1.1, 30_000),
+        _near_ties(rng, 30_000),
+        10.0 ** rng.uniform(-320, 308, 5_000) * rng.choice((-1.0, 1.0), 5_000),
+        ties,
+        -ties,
+        edges,
+    ))
+    # and every value's two float neighbours
+    return np.concatenate((values, np.nextafter(values, -np.inf), np.nextafter(values, np.inf)))
+
+
+class TestFormat12:
+    def test_sample_matches_percent_format(self):
+        values = _format12_sample()
+        assert values.size >= 200_000
+        assert _format12_mismatches(values)[:5] == []
+
+    @given(st.lists(st.floats() | st.floats(0.1, 1.0, exclude_max=True), max_size=40))
+    @example([0.1729344876985, 0.8733808289625, 0.6105256040495])
+    @example([0.0999999999999999, 0.9999999999995, 0.9999999999994999, 1.0, -0.0, math.nan])
+    def test_any_floats_match_percent_format(self, values):
+        assert _format12_mismatches(values) == []
