@@ -26,10 +26,12 @@ its vertices.
 
 The JSON and CSV exporters write the cells in blocks of about 4 096.
 One numpy kernel turns a block's c-values into their ``"%.12g"`` texts;
-values off its fast path, [0.1, 1), go through Python's ``%``. Each
-cell then becomes a fixed-width record of NUL-padded fields (its
-separator, the text, and in CSV the axis columns), and one
-``bytes.translate`` drops the padding of the whole block.
+values outside [0.1, 1), and the rare ones whose product with 1e12
+rounds to a half-integer, go through Python's ``%``. Each cell then
+becomes a fixed-width record of NUL-padded fields (its separator, the
+text, and in CSV the axis columns), and one ``bytes.translate`` drops
+the padding of the whole block. JSON mask blocks with equal flags share
+one text.
 
 The SVG writer is deliberately small and fully deterministic: the same
 grids produce the same bytes, with no timestamps, random ids, or external
@@ -699,9 +701,6 @@ def _json_floats(template: str, values: tuple) -> str:
 # with its trailing zeros dropped. q is written as groups of 2, 4, 4 and 2
 # digits, each one little-endian word of ASCII digits looked up in a table
 # whose second half holds the same words with trailing zeros as NUL bytes.
-_SPLIT = 134217729.0  # 2**27 + 1, Veltkamp's splitter
-_E12_HI = _SPLIT * 1e12 - (_SPLIT * 1e12 - 1e12)
-_E12_LO = 1e12 - _E12_HI
 _DIGITS = np.dtype([("point", "S2"), ("g1", "<u2"), ("g2", "<u4"), ("g3", "<u4"), ("g4", "<u2")])
 
 
@@ -727,26 +726,19 @@ def _format12(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """``(fast, texts)``: where ``fast``, ``texts`` holds ``"%.12g" % v`` as NUL-padded ``S14``.
 
     ``fast`` marks the values in [0.1, 1) whose 12-digit rounding stays
-    below 1; elsewhere ``texts`` is meaningless. Those values are replaced
-    before any arithmetic, so NaN and infinities raise no warning.
-    p = fl(v * 1e12) rounds to the nearest integer, ties to even, exactly as
-    ``%`` rounds the decimal expansion of v, unless p is a half-integer that
-    the rounding of the product made: there the sign of the product's error,
-    Dekker's two-product, says which way the exact v * 1e12 lies.
+    below 1 and whose product p = fl(v * 1e12) is no half-integer; elsewhere
+    ``texts`` is meaningless. Values outside [0.1, 1) are replaced before
+    any arithmetic, so NaN and infinities raise no warning. Rounding is
+    monotone and every half-integer below 1e12 is a float, so rint(p) is
+    the integer nearest the exact v * 1e12 unless p is a half-integer, as
+    for about one cell in 10 000 of a lattice; those take ``%``.
     """
     values = values.ravel()
     fast = (values >= 0.1) & (values < 1.0)
     v = np.where(fast, values, 0.5)
     p = v * 1e12
     q = np.rint(p)
-    half = np.flatnonzero(np.abs(p - q) == 0.5)
-    if half.size:
-        a, tie, above = v[half], p[half], p[half] - q[half]
-        hi = _SPLIT * a - (_SPLIT * a - a)
-        lo = a - hi
-        error = ((hi * _E12_HI - tie) + hi * _E12_LO + lo * _E12_HI) + lo * _E12_LO
-        q[half] += np.where(np.sign(error) == np.sign(above), 2.0 * above, 0.0)
-    fast &= q < 1e12
+    fast &= (q < 1e12) & (np.abs(p - q) != 0.5)
     n = np.where(fast, q, 1e11).astype(np.int64)
     g1, rest = np.divmod(n, 10**10)
     g2, tail = np.divmod(rest, 10**6)
@@ -845,7 +837,9 @@ _JSON_NEXT = b",\n" + b" " * 10
 _JSON_CLOSE = "\n" + " " * 8 + "]\n" + " " * 6 + "]"
 
 
-def _grid_json_parts(grid: MeasureGrid) -> list[str]:
+def _grid_json_parts(grid: MeasureGrid, mask_texts: dict) -> list[str]:
+    """A panel's JSON object as parts; ``mask_texts`` keeps the text of each
+    distinct mask block, so panels and blocks with equal flags share it."""
     parts = [f'{{\n      "prevalence": {_json_float(grid.prevalence)}']
     for name in ("p0_axis", "rr_axis", "par_axis"):
         values = tuple(getattr(grid, name).tolist())
@@ -865,7 +859,10 @@ def _grid_json_parts(grid: MeasureGrid) -> list[str]:
         if rows.start == cols.start == 0:
             opens[0] = _JSON_FIRST
         c_parts.append(_joined(opens, leads[cols], texts))
-        mask_parts.append(_joined(opens, leads[cols], np.where(masked, b"true", b"false")))
+        key = (rows.start == 0, cols.start == 0, masked.shape, np.packbits(masked).tobytes())
+        if key not in mask_texts:
+            mask_texts[key] = _joined(opens, leads[cols], np.where(masked, b"true", b"false"))
+        mask_parts.append(mask_texts[key])
     return parts + c_parts + [_JSON_CLOSE] + mask_parts + [_JSON_CLOSE, "\n    }"]
 
 
@@ -887,6 +884,7 @@ def grids_to_json(grids, spec: GridSpec) -> str:
         f',\n    "resolution": {spec.resolution}'
         f',\n    "contour_levels": {levels}\n  }},\n  "grids": '
     ]
-    _extend_json_array(parts, (_grid_json_parts(grid) for grid in grids), 2)
+    mask_texts = {}
+    _extend_json_array(parts, (_grid_json_parts(grid, mask_texts) for grid in grids), 2)
     parts.append("\n}\n")
     return "".join(parts)
