@@ -21,6 +21,16 @@ DIGESTS = {
     ("plot",): "a42e3505a13b152de3f559de2a83d1359a21551b07d504c97f39980d0e5046c5",
     ("sweep",): "72e37a42bea1d570e93f940e92b9a6d2cac4d134cdf5d133c58adb167cc927e5",
     ("sweep", "--format", "csv"): "18b4a15eae624a664b89e7ddf10a78ebb8a6886da43a0fa8fa2481c4f8196810",
+    # figures beyond the default: an rr < 1 window with a masked corner,
+    # repeated and signed-zero levels, and the smallest lattice
+    (
+        "plot", "--prevalences", "0.3,0.1", "--p0-min", "0.2", "--p0-max", "0.99",
+        "--rr-min", "0.5", "--rr-max", "1.6", "--resolution", "41",
+        "--levels", "0.45,0.48,0.5,0.52,0.55",
+    ): "cf53bd4e7d47a8e31feb2ff86712a06b0ed82be4790eea80b7343edb67eda0fa",
+    ("plot", "--levels", "0.5,0.5,0.55,-0.0,0.0"):
+        "65eb658d1177806c0212b9ea4124bfb1113e43d4f492aeec55d2339ce46ba3df",
+    ("plot", "--resolution", "2"): "2806694496bb9642999b5ed93ae460ab31b373b39db443c87a8d37ca3458f242",
 }
 
 ENVELOPE_DIGESTS = {
