@@ -12,17 +12,19 @@ edges. The field is strictly monotone in both directions wherever rr > 1,
 so the only ambiguity, the two saddle cases, is settled by the sign of
 the cell-centre mean. Cells touching a masked or non-finite corner emit
 nothing: such regions sit outside every level, so no vertex is NaN or
-infinite. All levels of a grid come from one span-space pass: each valid
-cell's corner minimum and maximum are taken once, and a ``searchsorted``
-of the sorted levels against them yields every (cell, level) crossing,
-so the work grows with the crossings rather than with levels times
-cells. Segments are chained into polylines a run at a time: away from
-ties every node joins two segments, so list ranking over all levels of a
-panel at once lays out the walk's runs. The Python walk halts only at
-nodes of degree other than 2 and at the inner nodes below both of their
-neighbours, and every run, one step of the walk, goes from a halt to the
-next. The figure writes each level's paths with one ``%`` operation over
-its vertices.
+infinite. All levels of a grid come from one span-space pass: one
+``searchsorted`` ranks every lattice value against the sorted levels,
+and the lowest and highest corner ranks of each valid cell bound the
+levels it crosses, so the work grows with the crossings rather than with
+levels times cells. Segments are chained into polylines a run at a time:
+away from ties every node joins two segments, so list ranking over all
+levels of a panel at once lays out the walk's runs. The Python walk
+halts only at nodes of degree other than 2 and at the inner nodes below
+both of their neighbours, and every run, one step of the walk, goes from
+a halt to the next. The figure writes all vertices of a panel with one
+numpy ``"%.2f"`` kernel, built like the exporters' below; negative or
+non-finite values, those from 1e4 up and the rare ones whose product
+with 100 rounds to a half-integer go through Python's ``%``.
 
 The JSON and CSV exporters write the cells in blocks of about 4 096.
 One numpy kernel turns a block's c-values into their ``"%.12g"`` texts;
@@ -160,7 +162,9 @@ def evaluate_grid(spec: GridSpec, prevalence: float) -> MeasureGrid:
 
     All unmasked cells go through the shared measure kernel in one array
     call, the same code that :func:`derive_measures` runs on one scenario,
-    so grid values equal direct scenario evaluation bit for bit.
+    so grid values equal direct scenario evaluation bit for bit. The kernel
+    takes the p0 axis broadcast against the (rr, p0) lattice of p1; only a
+    lattice with masked cells compacts the two first.
     """
     _require_type(spec, GridSpec, "spec")
     if prevalence not in spec.prevalences:
@@ -169,12 +173,17 @@ def evaluate_grid(spec: GridSpec, prevalence: float) -> MeasureGrid:
         )
     p0_axis = np.linspace(spec.p0_min, spec.p0_max, spec.resolution)
     rr_axis = np.linspace(spec.rr_min, spec.rr_max, spec.resolution)
-    rr_cells, p0_cells = np.meshgrid(rr_axis, p0_axis, indexing="ij")
-    p1 = rr_cells * p0_cells
+    rr_column = rr_axis[:, None]
+    p1 = rr_column * p0_axis
     mask = p1 > 1.0
-    ok = ~mask
-    c_values = np.full(p1.shape, np.nan)
-    c_values[ok] = _measure_kernel(prevalence, p0_cells[ok], p1[ok], rr_cells[ok])[4]
+    # rr only feeds the kernel's PAR, which is discarded: the column will do
+    if mask.any():
+        ok = ~mask
+        c_values = np.full(p1.shape, np.nan)
+        p0_cells = np.broadcast_to(p0_axis, p1.shape)[ok]
+        c_values[ok] = _measure_kernel(prevalence, p0_cells, p1[ok], rr_column)[4]
+    else:
+        c_values = _measure_kernel(prevalence, p0_axis, p1, rr_column)[4]
     par_axis = _par(prevalence, rr_axis)
     return MeasureGrid(
         prevalence=float(prevalence),
@@ -242,36 +251,42 @@ def _contour_polylines(
     stretch of ``y``.
 
     A cell crosses a level exactly when its lowest corner lies at or below
-    the level and its highest corner above it, so a ``searchsorted`` of each
-    valid cell's corner range against the sorted levels yields every
-    (cell, level) crossing in one pass (span-space search, Livnat, Shen &
-    Johnson 1996). Work then grows with the crossings, not with levels
-    times cells. Crossings are grouped by level, row-major within each, so
-    every level's segments come in row-major cell order, and in table order
-    within a cell; segments whose two endpoints coincide are dropped.
-    Each entry of ``levels`` has its own slot in the sorted ladder: a
-    repeated level is stitched once per copy, and 0.0 and -0.0 cross the
-    same cells but each interpolates with its own sign.
+    the level and its highest corner above it. A value's rank, the number
+    of sorted levels below it, is monotone in the value, so a valid cell
+    crosses the ranks from its lowest corner rank up to its highest,
+    exclusive (span-space search, Livnat, Shen & Johnson 1996). Work then
+    grows with the crossings, not with levels times cells. Crossings are
+    grouped by level, row-major within each, so every level's segments
+    come in row-major cell order, and in table order within a cell;
+    segments whose two endpoints coincide are dropped. Each entry of
+    ``levels`` has its own slot in the sorted ladder: a repeated level is
+    stitched once per copy, and 0.0 and -0.0 cross the same cells but each
+    interpolates with its own sign.
     """
     values = grid.c_values
     valid = ~grid.mask & np.isfinite(values)
     cell_ok = valid[:-1, :-1] & valid[:-1, 1:] & valid[1:, 1:] & valid[1:, :-1]
     corners = (values[:-1, :-1], values[:-1, 1:], values[1:, 1:], values[1:, :-1])
-    low = np.minimum(np.minimum(corners[0], corners[1]), np.minimum(corners[2], corners[3]))
-    high = np.maximum(np.maximum(corners[0], corners[1]), np.maximum(corners[2], corners[3]))
 
     levels = np.asarray(levels, dtype=float).reshape(-1)
     by_value = np.argsort(levels, kind="stable")
     ladder = levels[by_value]
-    # the levels in [low, high) of each valid cell, as ranks into the ladder
-    first = np.searchsorted(ladder, low.ravel())
-    count = (np.searchsorted(ladder, high.ravel()) - first) * cell_ok.ravel()
-    crossing = np.repeat(np.arange(count.size), count)
-    rank = first[crossing] + np.arange(crossing.size) - np.repeat(np.cumsum(count) - count, count)
+    # small integers: their stable sort below is a radix sort
+    rank_type = np.min_scalar_type(ladder.size)
+    ranks = np.searchsorted(ladder, values).astype(rank_type)
+    r00, r01, r11, r10 = ranks[:-1, :-1], ranks[:-1, 1:], ranks[1:, 1:], ranks[1:, :-1]
+    first = np.minimum(np.minimum(r00, r01), np.minimum(r11, r10))
+    count = (np.maximum(np.maximum(r00, r01), np.maximum(r11, r10)) - first) * cell_ok
+    # the ranks first .. first + count - 1 of each crossed cell
+    crossed = np.flatnonzero(count)
+    count = count.ravel()[crossed].astype(np.intp)
+    crossing = np.repeat(crossed, count)
+    within = np.arange(crossing.size) - np.repeat(np.cumsum(count) - count, count)
+    rank = (np.repeat(first.ravel()[crossed], count) + within).astype(rank_type)
     # a stable sort keeps the cells of each level in row-major order
     by_rank = np.argsort(rank, kind="stable")
     rank = rank[by_rank]
-    rows, cols = np.unravel_index(crossing[by_rank], low.shape)
+    rows, cols = np.unravel_index(crossing[by_rank], cell_ok.shape)
     level = ladder[rank]
     v00, v01, v11, v10 = (corner[rows, cols] for corner in corners)
     case = (
@@ -331,8 +346,9 @@ def _stitch(x, y, bounds) -> list[tuple[np.ndarray, np.ndarray, list[int]]]:
     Rows ``bounds[k]:bounds[k + 1]`` of ``x`` and ``y``, one segment each,
     belong to level ``k``; endpoint ``e`` of segment ``e // 2`` sits at
     ``(x.flat[e], y.flat[e])``. Within a level, equal coordinates make one
-    node; nodes are numbered in ascending (level, x, y) order. Chains start
-    at odd-degree nodes first, then at any node with a segment left, each in
+    node; nodes are numbered in ascending (level, x, y) order: a stable
+    sort of the points x + iy, then one of their levels. Chains start at
+    odd-degree nodes first, then at any node with a segment left, each in
     ascending order, and every step takes the current node's first unused
     segment.
 
@@ -353,11 +369,15 @@ def _stitch(x, y, bounds) -> list[tuple[np.ndarray, np.ndarray, list[int]]]:
     levels = len(bounds) - 1
     # small integers: their stable sort is a radix sort
     level_of = np.repeat(np.arange(levels, dtype=np.min_scalar_type(levels)), 2 * np.diff(bounds))
-    # a stable sort: each node's endpoints stay in segment order
-    order = np.lexsort((ys, xs, level_of))
-    sx, sy, sl = xs[order], ys[order], level_of[order]
+    # numpy orders complex numbers by real part, then imaginary part, with
+    # 0.0 == -0.0; stable sorts keep each node's endpoints in segment order
+    point = np.empty(n, dtype=complex)
+    point.real, point.imag = xs, ys
+    order = np.argsort(point, kind="stable")
+    order = order[np.argsort(level_of[order], kind="stable")]
+    sp, sl = point[order], level_of[order]
     first = np.ones(n, dtype=bool)
-    first[1:] = (sx[1:] != sx[:-1]) | (sy[1:] != sy[:-1]) | (sl[1:] != sl[:-1])
+    first[1:] = (sp[1:] != sp[:-1]) | (sl[1:] != sl[:-1])
     node_at = np.cumsum(first) - 1
     node_of = np.empty(n, dtype=np.intp)
     node_of[order] = node_at
@@ -571,31 +591,56 @@ def _panel_svg(grid: MeasureGrid, spec: GridSpec, offset_x: float) -> list[str]:
     )
 
     parts.append('<g class="contours">')
-    levels = spec.contour_levels
-    for level, (x, y, bounds) in zip(levels, _contour_polylines(grid, levels)):
-        if not x.size:
-            continue
-        parts.append(f'<g class="level" data-level="{_tick_label(level)}">')
-        # every vertex of the level at once, interleaved
-        xy = np.empty(2 * x.size)
-        xy[0::2] = to_x(x)
-        xy[1::2] = to_y(y)
-        sizes = [b - a for a, b in zip(bounds, bounds[1:])]
-        # one "%" writes every path of the level; "%.2f" % v == f"{v:.2f}"
-        template = "\n".join(
-            '<path class="contour" d="M %.2f %.2f' + " L %.2f %.2f" * (m - 1) + '"/>'
-            for m in sizes
-        )
-        parts.append(template % tuple(xy.tolist()))
-        longest = sizes.index(max(sizes))
-        middle = bounds[longest] + sizes[longest] // 2
-        parts.append(
-            f'<text class="contour-label" x="{_px(xy[2 * middle] + 2)}" '
-            f'y="{_px(xy[2 * middle + 1] - 2)}">{_tick_label(level)}</text>'
-        )
-        parts.append("</g>")
+    parts += _contours_svg(grid, spec.contour_levels, to_x, to_y)
     parts.append("</g>")
     parts.append("</g>")
+    return parts
+
+
+_PATH_OPEN = '<path class="contour" d="M '
+_PATH_BREAK = '"/>\n' + _PATH_OPEN
+_SPACE = np.array(b" ")
+
+
+def _contours_svg(grid: MeasureGrid, levels, to_x, to_y) -> list[str]:
+    r"""A panel's contour groups: one per level the field crosses, in order.
+
+    Every vertex of the panel becomes ``"x y"`` and a separator: ``" L "``
+    inside a polyline, ``"\n"`` after its last vertex and ``"\t"`` after
+    the level's last. Split at the tabs, each level's lines become its
+    ``<path>`` elements by one ``str.replace``.
+    """
+    drawn = [
+        (level, *entry) for level, entry in zip(levels, _contour_polylines(grid, levels))
+        if entry[0].size
+    ]
+    if not drawn:
+        return []
+    levels, xs, ys, bounds = zip(*drawn)
+    sizes = [x.size for x in xs]
+    starts = (np.cumsum(sizes) - sizes).tolist()
+    x = to_x(np.concatenate(xs))
+    y = to_y(np.concatenate(ys))
+    # every polyline's bounds in the panel's vertices; the first is 0
+    marks = np.concatenate(bounds) + np.repeat(starts, [len(b) for b in bounds])
+    separators = np.full(x.size, b" L ")
+    separators[marks[1:] - 1] = b"\n"
+    separators[np.add(starts, sizes) - 1] = b"\t"
+    texts = _format2(np.concatenate((x, y)))
+    lines = _joined(_NO_OPEN, texts[None, : x.size], _SPACE, texts[None, x.size :], separators)
+    parts = []
+    for level, paths, level_bounds, start in zip(levels, lines.split("\t"), bounds, starts):
+        lengths = [b - a for a, b in zip(level_bounds, level_bounds[1:])]
+        longest = lengths.index(max(lengths))
+        middle = start + level_bounds[longest] + lengths[longest] // 2
+        label = _tick_label(level)
+        parts += (
+            f'<g class="level" data-level="{label}">',
+            _PATH_OPEN + paths.replace("\n", _PATH_BREAK) + '"/>',
+            f'<text class="contour-label" x="{_px(x[middle] + 2)}" '
+            f'y="{_px(y[middle] - 2)}">{label}</text>',
+            "</g>",
+        )
     return parts
 
 
@@ -722,23 +767,34 @@ def _digit_words() -> tuple[np.ndarray, np.ndarray]:
     )
 
 
+def _nearest(values: np.ndarray, scale: float) -> tuple[np.ndarray, np.ndarray]:
+    """``(q, exact)``: q = rint(fl(v * scale)), and where q is the integer nearest v * scale.
+
+    For 0 <= v * scale < 2**52 every half-integer is a float and rounding
+    is monotone, so fl(v * scale) lies on the same side of each
+    half-integer as the exact product, or on it. Unless fl(v * scale) is
+    itself a half-integer, its nearest integer is therefore that of the
+    exact product.
+    """
+    p = values * scale
+    q = np.rint(p)
+    return q, np.abs(p - q) != 0.5
+
+
 def _format12(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """``(fast, texts)``: where ``fast``, ``texts`` holds ``"%.12g" % v`` as NUL-padded ``S14``.
 
     ``fast`` marks the values in [0.1, 1) whose 12-digit rounding stays
-    below 1 and whose product p = fl(v * 1e12) is no half-integer; elsewhere
-    ``texts`` is meaningless. Values outside [0.1, 1) are replaced before
-    any arithmetic, so NaN and infinities raise no warning. Rounding is
-    monotone and every half-integer below 1e12 is a float, so rint(p) is
-    the integer nearest the exact v * 1e12 unless p is a half-integer, as
-    for about one cell in 10 000 of a lattice; those take ``%``.
+    below 1 and whose product p = fl(v * 1e12) is no half-integer (see
+    :func:`_nearest`), as for all but about one cell in 10 000 of a
+    lattice; elsewhere ``texts`` is meaningless. Values outside [0.1, 1)
+    are replaced before any arithmetic, so NaN and infinities raise no
+    warning.
     """
     values = values.ravel()
     fast = (values >= 0.1) & (values < 1.0)
-    v = np.where(fast, values, 0.5)
-    p = v * 1e12
-    q = np.rint(p)
-    fast &= (q < 1e12) & (np.abs(p - q) != 0.5)
+    q, exact = _nearest(np.where(fast, values, 0.5), 1e12)
+    fast &= (q < 1e12) & exact
     n = np.where(fast, q, 1e11).astype(np.int64)
     g1, rest = np.divmod(n, 10**10)
     g2, tail = np.divmod(rest, 10**6)
@@ -752,6 +808,49 @@ def _format12(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     texts["g3"] = quads[g3 + 10000 * (g4 == 0)]
     texts["g4"] = pairs[g4 + 100]
     return fast, texts.view("S14")
+
+
+# The figure's "%.2f" kernel: below 1e4, "%.2f" % v is the integer part of
+# q = round(v * 100) without leading zeros, a point and q's last two digits.
+_FIXED2 = np.dtype([("whole", "<u4"), ("point", "S1"), ("cents", "<u2")])
+
+
+@cache
+def _whole_words() -> np.ndarray:
+    """The words of 0 .. 9999, each four ASCII digits with leading zeros as NUL bytes."""
+    k = np.arange(10_000)
+    digits = [(k // 10**e % 10 + ord("0")) * ((k >= 10**e) | (e == 0)) for e in (3, 2, 1, 0)]
+    return (digits[0] | digits[1] << 8 | digits[2] << 16 | digits[3] << 24).astype("<u4")
+
+
+def _format2(values: np.ndarray) -> np.ndarray:
+    """``"%.2f" % v`` of every value, as a NUL-padded ``S`` array.
+
+    Non-negative values below 1e4 whose product p = fl(v * 100) is no
+    half-integer (see :func:`_nearest`) take the kernel. The rest, negative
+    zero, exact ties such as k/8, and values that are large or not finite,
+    go through Python's ``%``.
+    """
+    values = values.ravel()
+    fast = ~np.signbit(values) & (values < 1e4)
+    q, exact = _nearest(np.where(fast, values, 0.0), 100.0)
+    fast &= (q < 1e6) & exact
+    whole, cents = np.divmod(np.where(fast, q, 0.0).astype(np.int64), 100)
+    texts = np.empty(values.size, _FIXED2)
+    texts["whole"] = _whole_words()[whole]
+    texts["point"] = b"."
+    texts["cents"] = _digit_words()[0][cents]
+    return _with_slow(texts.view("S7"), values, np.flatnonzero(~fast), "%.2f".__mod__)
+
+
+def _with_slow(texts: np.ndarray, values: np.ndarray, slow: np.ndarray, slow_text) -> np.ndarray:
+    """``texts``, widened as needed, with ``slow_text(v)`` at the indices ``slow``."""
+    if not slow.size:
+        return texts
+    slow_texts = np.array([slow_text(v) for v in values[slow].tolist()], dtype="S")
+    texts = texts.astype(np.promote_types(texts.dtype, slow_texts.dtype))
+    texts[slow] = slow_texts
+    return texts
 
 
 _BLOCK = 4096  # cells per block of the exporters
@@ -779,11 +878,7 @@ def _cell_texts(values, masked, masked_text: bytes, slow_text) -> np.ndarray:
     """
     fast, texts = _format12(values)
     slow = np.flatnonzero(~(fast | masked.ravel()))
-    if slow.size:
-        slow_texts = np.array([slow_text(v) for v in values.ravel()[slow].tolist()], dtype="S")
-        texts = texts.astype(np.promote_types(texts.dtype, slow_texts.dtype))
-        texts[slow] = slow_texts
-    texts = texts.reshape(values.shape)
+    texts = _with_slow(texts, values.ravel(), slow, slow_text).reshape(values.shape)
     texts[masked] = masked_text
     return texts
 

@@ -1,10 +1,13 @@
+import bisect
 import csv
 import dataclasses
+import functools
 import io
 import json
 import math
 import struct
 import xml.etree.ElementTree as ET
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -28,9 +31,9 @@ from binaryrisk import (
     par,
     render_svg,
 )
-from binaryrisk.sweep import _BLOCK, _contour_polylines, _format12, _json_float
+from binaryrisk.sweep import _BLOCK, _contour_polylines, _format2, _format12, _json_float
 
-from _oracles import bilinear_c
+from _oracles import bilinear_c, derive_exact
 
 C_INDEX_02 = 0.5408580183861083  # closed form at (f=0.2, p0=0.1, rr=1.5)
 PAR_02 = 0.09090909090909091  # 1/11
@@ -355,6 +358,36 @@ class TestExtractContours:
         contour = extract_contours(default_grids[1], 0.54)
         assert len(contour.polylines) == 1
         assert len(contour.polylines[0]) > 10
+
+    def test_vertices_sit_on_edges_bracketing_the_level_exactly(self, default_spec, default_grids):
+        # A vertex is interpolated along one lattice edge, so it shares its rr
+        # with a row (a horizontal edge) or its p0 with a column (a vertical
+        # one). The exact c-indices at the two ends of that edge, read at the
+        # float axis values, must bracket the level.
+        for grid in default_grids:
+            p0_axis, rr_axis = grid.p0_axis.tolist(), grid.rr_axis.tolist()
+            rows = {v: i for i, v in enumerate(rr_axis)}
+            cols = {v: j for j, v in enumerate(p0_axis)}
+
+            @functools.cache
+            def exact_c(i, j, prevalence=grid.prevalence):
+                return derive_exact(prevalence, p0_axis[j], rr_axis[i])["c_index"]
+
+            for level in default_spec.contour_levels:
+                target = Fraction(level)
+                for x, y in _vertices(extract_contours(grid, level)):
+                    edges = []
+                    if y in rows:
+                        edges += [((rows[y], j), (rows[y], j + 1)) for j in _spans(p0_axis, x)]
+                    if x in cols:
+                        edges += [((i, cols[x]), (i + 1, cols[x])) for i in _spans(rr_axis, y)]
+                    ends = [sorted((exact_c(*a), exact_c(*b))) for a, b in edges]
+                    assert any(lo <= target <= hi for lo, hi in ends), (grid.prevalence, level, x, y)
+
+
+def _spans(axis, v):
+    """The k with axis[k] <= v <= axis[k + 1], for an ascending list ``axis``."""
+    return range(max(bisect.bisect_left(axis, v) - 1, 0), min(bisect.bisect_right(axis, v), len(axis) - 1))
 
 
 def _synthetic_grid(values, mask=None):
@@ -741,7 +774,63 @@ class TestNonFiniteCorners:
         assert "nan" not in svg
 
 
+def _reference_contour_lines(grid, spec):
+    """The contour lines of a one-panel figure, written level by level.
+
+    Each level the field crosses is a group: one ``<path>`` per polyline of
+    ``extract_contours``, its points mapped onto the panel and written
+    with ``"%.2f"``, then a label 2 px right of and above the middle point
+    of the first longest polyline.
+    """
+
+    def to_px(p0, rr):
+        x = 66.0 + (p0 - spec.p0_min) / (spec.p0_max - spec.p0_min) * 300.0
+        y = 46.0 + 240.0 - (rr - spec.rr_min) / (spec.rr_max - spec.rr_min) * 240.0
+        return x, y
+
+    lines = []
+    for level in spec.contour_levels:
+        polylines = [[to_px(*point) for point in p] for p in extract_contours(grid, level).polylines]
+        if not polylines:
+            continue
+        label = "%.4g" % level
+        lines.append(f'<g class="level" data-level="{label}">')
+        for polyline in polylines:
+            points = " L ".join("%.2f %.2f" % point for point in polyline)
+            lines.append(f'<path class="contour" d="M {points}"/>')
+        longest = max(polylines, key=len)
+        x, y = longest[len(longest) // 2]
+        lines.append(
+            f'<text class="contour-label" x="{"%.2f" % (x + 2)}" '
+            f'y="{"%.2f" % (y - 2)}">{label}</text>'
+        )
+        lines.append("</g>")
+    return lines
+
+
 class TestRenderSvg:
+    # Windows that hold the lattice, part of it (coordinates from 1e4 up) or
+    # none of it (negative coordinates): the last two reach Python's "%.2f".
+    @settings(max_examples=60, deadline=None)
+    @given(
+        _small_grids(st.sampled_from((0.0, 0.25, 0.5, 1.0)) | st.floats(0.0, 1.0), max_side=8),
+        st.sampled_from([(0.1, 0.2, 1.0, 2.0), (0.15, 0.1500001, 1.5, 1.6), (0.3, 0.4, 0.2, 0.5)]),
+        st.data(),
+    )
+    def test_contour_lines_equal_reference_writer(self, drawn, window, data):
+        values, mask = drawn
+        p0_min, p0_max, rr_min, rr_max = window
+        levels = tuple(data.draw(_level_lists(values)))
+        spec = GridSpec(
+            prevalences=(0.2,), p0_min=p0_min, p0_max=p0_max, rr_min=rr_min, rr_max=rr_max,
+            contour_levels=levels,
+        )
+        for grid in (_synthetic_grid(values), _synthetic_grid(values, mask)):
+            lines = render_svg([grid], spec).splitlines()
+            start = lines.index('<g class="contours">') + 1
+            assert lines[start:-3] == _reference_contour_lines(grid, spec)
+            assert lines[-3:] == ["</g>", "</g>", "</svg>"]
+
     def test_three_panels_with_dual_axes(self, default_spec, default_grids):
         root = ET.fromstring(render_svg(default_grids, default_spec))
         panels = [e for e in root.iter(f"{SVG_NS}g") if e.get("class") == "panel"]
@@ -1094,3 +1183,41 @@ class TestFormat12:
     @example([0.0999999999999999, 0.9999999999995, 0.9999999999994999, 1.0, -0.0, math.nan])
     def test_any_floats_match_percent_format(self, values):
         assert _format12_mismatches(values) == []
+
+
+def _format2_mismatches(values):
+    """The values whose ``_format2`` text, NUL bytes dropped, differs from ``"%.2f" %``."""
+    values = np.asarray(values, dtype=float)
+    texts = _format2(values).tolist()
+    return [
+        (v, text) for v, text in zip(values.tolist(), texts)
+        if text.replace(b"\0", b"").decode("ascii") != "%.2f" % v
+    ]
+
+
+def _format2_sample():
+    """A seeded sample of about 320 000 values around every edge of the kernel."""
+    rng = np.random.default_rng(21)
+    # exact ties: v * 100 is a half-integer
+    ties = np.concatenate((np.arange(8 * 1400) / 8, np.arange(10_000) + 0.125))
+    # decimals that end in 5 at the third place: fl(v * 100) is often a half-integer
+    decimal = np.arange(1, 2 * 140_000, 14) / 200
+    edges = [0.0, -0.0, 9999.995, 1e4, 5e-324, 1e-310, -5e-324, -0.005, -1.0, -1234.5678,
+             12345.678, 1e300, np.nan, np.inf, -np.inf]
+    near = np.concatenate((ties, decimal, edges))
+    return np.concatenate((
+        rng.uniform(0.0, 1400.0, 200_000), near, np.nextafter(near, -np.inf), np.nextafter(near, np.inf)
+    ))
+
+
+class TestFormat2:
+    def test_sample_matches_percent_format(self):
+        values = _format2_sample()
+        assert values.size >= 200_000
+        assert _format2_mismatches(values)[:5] == []
+
+    @settings(derandomize=True)
+    @given(st.lists(st.floats() | st.floats(0.0, 1e4), max_size=40))
+    @example([0.005, 1.005, 0.125, 9999.995, 9999.994999999999, -0.0, math.nan])
+    def test_any_floats_match_percent_format(self, values):
+        assert _format2_mismatches(values) == []
