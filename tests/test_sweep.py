@@ -382,12 +382,14 @@ class TestExtractContours:
                     if x in cols:
                         edges += [((i, cols[x]), (i + 1, cols[x])) for i in _spans(rr_axis, y)]
                     ends = [sorted((exact_c(*a), exact_c(*b))) for a, b in edges]
-                    assert any(lo <= target <= hi for lo, hi in ends), (grid.prevalence, level, x, y)
+                    bracketed = any(lo <= target <= hi for lo, hi in ends)
+                    assert bracketed, (grid.prevalence, level, x, y)
 
 
 def _spans(axis, v):
     """The k with axis[k] <= v <= axis[k + 1], for an ascending list ``axis``."""
-    return range(max(bisect.bisect_left(axis, v) - 1, 0), min(bisect.bisect_right(axis, v), len(axis) - 1))
+    lo = max(bisect.bisect_left(axis, v) - 1, 0)
+    return range(lo, min(bisect.bisect_right(axis, v), len(axis) - 1))
 
 
 def _synthetic_grid(values, mask=None):
@@ -790,7 +792,8 @@ def _reference_contour_lines(grid, spec):
 
     lines = []
     for level in spec.contour_levels:
-        polylines = [[to_px(*point) for point in p] for p in extract_contours(grid, level).polylines]
+        contour = extract_contours(grid, level)
+        polylines = [[to_px(*point) for point in p] for p in contour.polylines]
         if not polylines:
             continue
         label = "%.4g" % level
@@ -1205,9 +1208,8 @@ def _format2_sample():
     edges = [0.0, -0.0, 9999.995, 1e4, 5e-324, 1e-310, -5e-324, -0.005, -1.0, -1234.5678,
              12345.678, 1e300, np.nan, np.inf, -np.inf]
     near = np.concatenate((ties, decimal, edges))
-    return np.concatenate((
-        rng.uniform(0.0, 1400.0, 200_000), near, np.nextafter(near, -np.inf), np.nextafter(near, np.inf)
-    ))
+    neighbours = (np.nextafter(near, -np.inf), np.nextafter(near, np.inf))
+    return np.concatenate((rng.uniform(0.0, 1400.0, 200_000), near, *neighbours))
 
 
 class TestFormat2:
