@@ -253,17 +253,22 @@ def _grid_command(args, default_out: str, render, warnings=()) -> int:
     grids = [evaluate_grid(spec, prevalence) for prevalence in spec.prevalences]
     out = default_out if args.out is None else args.out
     _write_text(out, render(grids, spec))
-    panels = []
-    for grid in grids:
-        unmasked = grid.c_values[~grid.mask]
-        panels.append(
-            {
-                "prevalence": grid.prevalence,
-                "c_min": float(unmasked.min()) if unmasked.size else None,
-                "c_max": float(unmasked.max()) if unmasked.size else None,
-                "masked_cells": int(grid.mask.sum()),
-            }
-        )
+    import numpy as np  # loaded by sweep already
+
+    def bound(reduce, values):
+        # masked cells hold NaN and the rest are finite: NaN means all masked
+        value = float(reduce(values, axis=None))
+        return None if math.isnan(value) else value
+
+    panels = [
+        {
+            "prevalence": grid.prevalence,
+            "c_min": bound(np.fmin.reduce, grid.c_values),
+            "c_max": bound(np.fmax.reduce, grid.c_values),
+            "masked_cells": int(np.count_nonzero(grid.mask)),
+        }
+        for grid in grids
+    ]
     _emit(args, {"files": [out], "panels": panels}, warnings)
     return EXIT_OK
 

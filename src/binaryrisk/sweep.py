@@ -743,15 +743,15 @@ def _json_floats(template: str, values: tuple) -> str:
 
 # The exporters' "%.12g" kernel. On an rr >= 1 lattice every c-value lies in
 # [0.1, 1), where "%.12g" % v is "0." and the 12 digits of q = round(v * 1e12)
-# with its trailing zeros dropped. q is written as groups of 2, 4, 4 and 2
-# digits, each one little-endian word of ASCII digits looked up in a table
-# whose second half holds the same words with trailing zeros as NUL bytes.
-_DIGITS = np.dtype([("point", "S2"), ("g1", "<u2"), ("g2", "<u4"), ("g3", "<u4"), ("g4", "<u2")])
+# with its trailing zeros dropped. q is written as three groups of 4 digits,
+# each one little-endian word of ASCII digits looked up in a table whose
+# second half holds the same words with trailing zeros as NUL bytes.
+_DIGITS = np.dtype([("point", "S2"), ("a", "<u4"), ("b", "<u4"), ("c", "<u4")])
 
 
 @cache
 def _digit_words() -> tuple[np.ndarray, np.ndarray]:
-    """The words of 00 .. 99 and of 0000 .. 9999, each table then repeated stripped.
+    """The words of 00 .. 99, and of 0000 .. 9999 then repeated stripped.
 
     Built on first use, so importing the module costs no numpy work.
     """
@@ -761,10 +761,7 @@ def _digit_words() -> tuple[np.ndarray, np.ndarray]:
     stripped = np.where(k % 10, pairs, np.where(k, tens, 0))
     high = pairs[:, None]
     quads = (high | pairs << 16, np.where(k == 0, stripped[:, None], high | stripped << 16))
-    return (
-        np.concatenate((pairs, stripped)).astype("<u2"),
-        np.concatenate([words.ravel() for words in quads]).astype("<u4"),
-    )
+    return pairs.astype("<u2"), np.concatenate([words.ravel() for words in quads]).astype("<u4")
 
 
 def _nearest(values: np.ndarray, scale: float) -> tuple[np.ndarray, np.ndarray]:
@@ -796,17 +793,18 @@ def _format12(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     q, exact = _nearest(np.where(fast, values, 0.5), 1e12)
     fast &= (q < 1e12) & exact
     n = np.where(fast, q, 1e11).astype(np.int64)
-    g1, rest = np.divmod(n, 10**10)
-    g2, tail = np.divmod(rest, 10**6)
-    g3, g4 = np.divmod(tail, 100)
-    pairs, quads = _digit_words()
+    # floor division by a scalar is several times faster than np.divmod
+    a = n // 10**8
+    low = n - a * 10**8
+    b = low // 10**4
+    c = low - b * 10**4
+    quads = _digit_words()[1]
     texts = np.empty(n.size, _DIGITS)
     texts["point"] = b"0."
     # a group takes its stripped word when every digit after it is 0
-    texts["g1"] = pairs[g1 + 100 * (rest == 0)]
-    texts["g2"] = quads[g2 + 10000 * (tail == 0)]
-    texts["g3"] = quads[g3 + 10000 * (g4 == 0)]
-    texts["g4"] = pairs[g4 + 100]
+    texts["a"] = quads[a + 10000 * (low == 0)]
+    texts["b"] = quads[b + 10000 * (c == 0)]
+    texts["c"] = quads[c + 10000]
     return fast, texts.view("S14")
 
 
@@ -888,17 +886,19 @@ def _joined(opens, *fields) -> str:
 
     ``opens`` is an ``S`` array broadcast to the block's rows, each field
     one broadcast to its (rows, cols) cells. Each row becomes one
-    fixed-width record, and the NUL padding of every field is dropped from
-    all of them at once.
+    fixed-width record, laid out in place in a ``bytearray``, and the NUL
+    padding of every field is dropped from all of them at once.
     """
     rows, cols = np.broadcast(*fields).shape
     cell = np.dtype([("", field.dtype) for field in fields])
-    records = np.empty(rows, [("open", opens.dtype), ("cells", cell, (cols,))])
+    record = np.dtype([("open", opens.dtype), ("cells", cell, (cols,))])
+    buffer = bytearray(rows * record.itemsize)
+    records = np.frombuffer(buffer, record)
     records["open"] = opens
     cells = records["cells"]
     for name, field in zip(cell.names, fields):
         cells[name] = field
-    return records.tobytes().translate(None, b"\0").decode("ascii")
+    return buffer.translate(None, b"\0").decode("ascii")
 
 
 _NO_OPEN = np.array(b"")

@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 from binaryrisk import GridSpec, PopulationParams, cli, derive_measures, max_feasible_rr, par
 from binaryrisk.cli import build_parser, main
 
-from _oracles import derive_exact, meets_solver_contract, ulps_off
+from _oracles import derive_exact, meets_solver_contract, tabulate_cohort, ulps_off
 
 C_INDEX_02 = 0.5408580183861083
 PAR_02 = 0.09090909090909091
@@ -686,6 +686,20 @@ def _valid_sweep(draw):
 
 
 @st.composite
+def _valid_simulate(draw):
+    """``simulate`` with both exposure groups, cases and controls all but surely drawn:
+    f and p0 in [0.05, 0.5], rr in [0.5, 2] and n in [1000, 5000]."""
+    argv = ["simulate"]
+    for flag, value in (
+        ("f", repr(draw(st.floats(0.05, 0.5)))), ("p0", repr(draw(st.floats(0.05, 0.5)))),
+        ("rr", repr(draw(st.floats(0.5, 2.0)))), ("n", str(draw(st.integers(1000, 5000)))),
+        ("seed", str(draw(st.integers(0, 2**64 - 1)))),
+    ):
+        argv += _flag_tokens(draw, flag, value)
+    return argv
+
+
+@st.composite
 def _any_argv(draw):
     """Any command, each of its flags present or not, with a value drawn as in ``_FLAGS``,
     each in either of the two forms of ``_flag_tokens``."""
@@ -784,6 +798,22 @@ def _check_exit_zero_results(argv, envelope):
         else:
             excess = Fraction(f) * (Fraction(rr) - 1)
             assert ulps_off(verification["par"], excess / (excess + 1)) <= 4
+    elif argv[0] == "simulate":
+        inputs, results = envelope["inputs"], envelope["results"]
+        f, p0, rr = inputs["f"], inputs["p0"], inputs["rr"]
+        counts = results["counts"]
+        assert (
+            counts["n_exposed_case"], counts["n_exposed_control"],
+            counts["n_unexposed_case"], counts["n_unexposed_control"],
+        ) == tabulate_cohort(f, p0, rr, inputs["n"], inputs["seed"])
+        # the empirical record is the kernel at the printed plug-in rates
+        rates = results["empirical"]
+        exact = derive_exact(rates["f"], rates["p0"], Fraction(rates["p1"]) / Fraction(rates["p0"]))
+        assert ulps_off(rates["c_index"], exact["c_index"]) <= 4
+        # as for compute: the closed form at the rounded product p1
+        closed_form = results["closed_form"]
+        exact = derive_exact(f, p0, Fraction(closed_form["p1"]) / Fraction(p0))["c_index"]
+        assert abs(Fraction(closed_form["c_index"]) - exact) <= 2 * Fraction(math.ulp(0.5))
     elif argv[0] == "sweep":
         _check_sweep_payload(envelope)
 
@@ -799,11 +829,11 @@ class TestWholeDomainContract:
     )
     @given(reachable=st.integers(0, 3).map(lambda k: k == 0), data=st.data())
     def test_exit_code_stdout_and_results(self, reachable, data, run_cli, tmp_path, monkeypatch):
-        # a reachable draw runs one --target-c and one --target-par solve and one
-        # sweep over a valid window
+        # a reachable draw runs one --target-c and one --target-par solve, one
+        # sweep over a valid window and one simulate
         if reachable:
             argvs = [data.draw(_reachable_solve()), data.draw(_reachable_par_solve()),
-                     data.draw(_valid_sweep())]
+                     data.draw(_valid_sweep()), data.draw(_valid_simulate())]
         else:
             argvs = [data.draw(_any_argv())]
         # sweep and plot write grids.json and figure.svg without --out

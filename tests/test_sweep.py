@@ -1163,6 +1163,9 @@ def _format12_sample():
     rng = np.random.default_rng(12)
     ties = (2 * np.arange(4096) + 1) / 8192  # v * 1e12 is exactly a half-integer
     edges = [0.1, 0.9999999999995, 1.0, 0.0, -0.0, 5e-324, 1e-310, np.nan, np.inf, -np.inf]
+    # 12 digits with a zero middle group before a non-zero last one, a zero
+    # last group, both zero, and a 1 only in the last digit
+    groups = [0.12340000567, 0.123456780000, 0.1234, 0.5, 0.1, 0.100000000001]
     values = np.concatenate((
         rng.uniform(0.0, 1.1, 30_000),
         _near_ties(rng, 30_000),
@@ -1170,6 +1173,7 @@ def _format12_sample():
         ties,
         -ties,
         edges,
+        groups,
     ))
     # and every value's two float neighbours
     return np.concatenate((values, np.nextafter(values, -np.inf), np.nextafter(values, np.inf)))
