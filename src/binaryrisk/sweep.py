@@ -27,13 +27,13 @@ non-finite values, those from 1e4 up and the rare ones whose product
 with 100 rounds to a half-integer go through Python's ``%``.
 
 The JSON and CSV exporters write the cells in blocks of about 4 096.
-One numpy kernel turns a block's c-values into their ``"%.12g"`` texts;
-values outside [0.1, 1), and the rare ones whose product with 1e12
-rounds to a half-integer, go through Python's ``%``. Each cell then
-becomes a fixed-width record of NUL-padded fields (its separator, the
-text, and in CSV the axis columns), and one ``bytes.translate`` drops
-the padding of the whole block. JSON mask blocks with equal flags share
-one text.
+One numpy kernel turns a block's c-values into their ``"%.12g"`` texts,
+the digits as three 4-digit groups; values outside [0.1, 1), and the
+rare ones whose product with 1e12 rounds to a half-integer, go through
+Python's ``%``. Each cell becomes a fixed-width record of NUL-padded
+fields (its separator, the text, and in CSV the axis columns), filled
+in place in a ``bytearray``, and one ``translate`` drops the padding of
+the whole block. JSON mask blocks with equal flags share one text.
 
 The SVG writer is deliberately small and fully deterministic: the same
 grids produce the same bytes, with no timestamps, random ids, or external
@@ -743,9 +743,9 @@ def _json_floats(template: str, values: tuple) -> str:
 
 # The exporters' "%.12g" kernel. On an rr >= 1 lattice every c-value lies in
 # [0.1, 1), where "%.12g" % v is "0." and the 12 digits of q = round(v * 1e12)
-# with its trailing zeros dropped. q is written as three groups of 4 digits,
-# each one little-endian word of ASCII digits looked up in a table whose
-# second half holds the same words with trailing zeros as NUL bytes.
+# with its trailing zeros dropped. Two scalar floor divisions, faster than
+# np.divmod, cut q into three 4-digit groups, each one little-endian word of
+# ASCII digits from a table whose second half has trailing zeros as NUL bytes.
 _DIGITS = np.dtype([("point", "S2"), ("a", "<u4"), ("b", "<u4"), ("c", "<u4")])
 
 
@@ -793,7 +793,6 @@ def _format12(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     q, exact = _nearest(np.where(fast, values, 0.5), 1e12)
     fast &= (q < 1e12) & exact
     n = np.where(fast, q, 1e11).astype(np.int64)
-    # floor division by a scalar is several times faster than np.divmod
     a = n // 10**8
     low = n - a * 10**8
     b = low // 10**4
@@ -895,10 +894,11 @@ def _joined(opens, *fields) -> str:
     buffer = bytearray(rows * record.itemsize)
     records = np.frombuffer(buffer, record)
     records["open"] = opens
-    cells = records["cells"]
     for name, field in zip(cell.names, fields):
-        cells[name] = field
-    return buffer.translate(None, b"\0").decode("ascii")
+        records["cells"][name] = field
+    text = buffer.translate(None, b"\0")
+    del records, buffer  # freed first, their memory can take the decoded str
+    return text.decode("ascii")
 
 
 _NO_OPEN = np.array(b"")
