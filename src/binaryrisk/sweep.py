@@ -894,11 +894,10 @@ def _joined(opens, *fields) -> str:
     buffer = bytearray(rows * record.itemsize)
     records = np.frombuffer(buffer, record)
     records["open"] = opens
+    cells = records["cells"]
     for name, field in zip(cell.names, fields):
-        records["cells"][name] = field
-    text = buffer.translate(None, b"\0")
-    del records, buffer  # freed first, their memory can take the decoded str
-    return text.decode("ascii")
+        cells[name] = field
+    return buffer.translate(None, b"\0").decode("ascii")
 
 
 _NO_OPEN = np.array(b"")
