@@ -21,19 +21,21 @@ away from ties every node joins two segments, so list ranking over all
 levels of a panel at once lays out the walk's runs. The Python walk
 halts only at nodes of degree other than 2 and at the inner nodes below
 both of their neighbours, and every run, one step of the walk, goes from
-a halt to the next. The figure writes all vertices of a panel with one
-numpy ``"%.2f"`` kernel, built like the exporters' below; negative or
-non-finite values, those from 1e4 up and the rare ones whose product
-with 100 rounds to a half-integer go through Python's ``%``.
+a halt to the next. It lays out a panel's levels in the order given, in
+one vertex array that the figure writes with one numpy ``"%.2f"`` kernel,
+built like the exporters' below; negative or non-finite values, those
+from 1e4 up and the rare ones whose product with 100 rounds to a
+half-integer go through Python's ``%``.
 
-The JSON and CSV exporters write the cells in blocks of about 4 096.
-One numpy kernel turns a block's c-values into their ``"%.12g"`` texts,
-the digits as three 4-digit groups; values outside [0.1, 1), and the
-rare ones whose product with 1e12 rounds to a half-integer, go through
-Python's ``%``. Each cell becomes a fixed-width record of NUL-padded
-fields (its separator, the text, and in CSV the axis columns), filled
-in place in a ``bytearray``, and one ``translate`` drops the padding of
-the whole block. JSON mask blocks with equal flags share one text.
+The JSON and CSV exporters write the cells in blocks of whole rows,
+about 4 096 cells or one row each. One numpy kernel turns a block's
+c-values into their ``"%.12g"`` texts, the digits as three 4-digit
+groups; values outside [0.1, 1), and the rare ones whose product with
+1e12 rounds to a half-integer, go through Python's ``%``. Each cell
+becomes a fixed-width record of NUL-padded fields (its separator, the
+text, and in CSV the axis columns), filled in place in a ``bytearray``,
+and one ``translate`` drops the padding of the whole block. JSON mask
+blocks with equal flags share one text.
 
 The SVG writer is deliberately small and fully deterministic: the same
 grids produce the same bytes, with no timestamps, random ids, or external
@@ -242,13 +244,14 @@ del _key, _pairs
 
 def _contour_polylines(
     grid: MeasureGrid, levels
-) -> list[tuple[np.ndarray, np.ndarray, list[int]]]:
-    """The polylines of every level in ``levels``, one entry per level, in order.
+) -> tuple[np.ndarray, np.ndarray, list[list[int]]]:
+    """The polylines of every level in ``levels``, as one ``(x, y, bounds)``.
 
-    Each entry is ``(x, y, bounds)``: the level's vertices in walk order,
-    and the offsets at which its polylines start, closed by ``x.size``;
-    polyline ``k`` is ``x[bounds[k]:bounds[k + 1]]`` paired with the same
-    stretch of ``y``.
+    ``x`` and ``y`` hold every vertex, the levels in the order given, and
+    ``bounds`` per level the offsets at which its polylines start, closed
+    by its end: a level's offsets open where the previous level's close,
+    the first at 0. Polyline ``k`` of a level pairs
+    ``x[offsets[k]:offsets[k + 1]]`` with the same stretch of ``y``.
 
     A cell crosses a level exactly when its lowest corner lies at or below
     the level and its highest corner above it. A value's rank, the number
@@ -315,10 +318,7 @@ def _contour_polylines(
     distinct = (x[:, 0] != x[:, 1]) | (y[:, 0] != y[:, 1])
     x, y = x[distinct], y[distinct]
     bounds = np.searchsorted(rank[cell[distinct]], np.arange(ladder.size + 1))
-    polylines = [None] * ladder.size
-    for level_slot, vertices in zip(by_value.tolist(), _stitch(x, y, bounds)):
-        polylines[level_slot] = vertices
-    return polylines
+    return _stitch(x, y, bounds, np.argsort(by_value).tolist())
 
 
 def _list_rank(succ: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -340,11 +340,12 @@ def _list_rank(succ: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return last, dist
 
 
-def _stitch(x, y, bounds) -> list[tuple[np.ndarray, np.ndarray, list[int]]]:
+def _stitch(x, y, bounds, walk) -> tuple[np.ndarray, np.ndarray, list[list[int]]]:
     """Join each level's segments sharing endpoints into polylines, deterministically.
 
     Rows ``bounds[k]:bounds[k + 1]`` of ``x`` and ``y``, one segment each,
-    belong to level ``k``; endpoint ``e`` of segment ``e // 2`` sits at
+    belong to level ``k``, and ``walk`` lists the levels in the order they
+    are laid out; endpoint ``e`` of segment ``e // 2`` sits at
     ``(x.flat[e], y.flat[e])``. Within a level, equal coordinates make one
     node; nodes are numbered in ascending (level, x, y) order: a stable
     sort of the points x + iy, then one of their levels. Chains start at
@@ -361,8 +362,9 @@ def _stitch(x, y, bounds) -> list[tuple[np.ndarray, np.ndarray, list[int]]]:
     that is no halt: its smaller neighbour's chains, taken first, have used
     both of its segments.
 
-    Returns, per level, ``(x, y, offsets)``: the vertices of its polylines
-    in walk order, and the offsets at which they start, closed by the end.
+    Returns ``(x, y, offsets)``: the vertices of every polyline, level by
+    level in ``walk`` order, and per level the offsets at which its
+    polylines start, closed by its end.
     """
     xs, ys = x.ravel(), y.ravel()
     n = xs.size
@@ -447,7 +449,7 @@ def _stitch(x, y, bounds) -> list[tuple[np.ndarray, np.ndarray, list[int]]]:
     # (equal points can differ in the sign of a zero).
     lo, width, count = [], [], 0
     level_offsets = []
-    for level in range(levels):
+    for level in walk:
         offsets = [count]
         # open chains first, anchored at odd-degree nodes, then cycles
         anchors = odd[odd_cut[level] : odd_cut[level + 1]]
@@ -472,10 +474,7 @@ def _stitch(x, y, bounds) -> list[tuple[np.ndarray, np.ndarray, list[int]]]:
     lo = np.array(lo, dtype=np.intp)
     width = np.array(width, dtype=np.intp)
     vertex = source[np.arange(count) + np.repeat(lo - (np.cumsum(width) - width), width)]
-    xs, ys = xs[vertex], ys[vertex]
-    return [
-        (xs[a[0] : a[-1]], ys[a[0] : a[-1]], [k - a[0] for k in a]) for a in level_offsets
-    ]
+    return xs[vertex], ys[vertex], level_offsets
 
 
 def extract_contours(grid: MeasureGrid, level) -> ContourSet:
@@ -488,7 +487,7 @@ def extract_contours(grid: MeasureGrid, level) -> ContourSet:
     """
     _require_type(grid, MeasureGrid, "grid")
     level = _require_finite(level, "level")
-    x, y, bounds = _contour_polylines(grid, (level,))[0]
+    x, y, (bounds,) = _contour_polylines(grid, (level,))
     points = list(zip(x.tolist(), y.tolist()))
     polylines = tuple(tuple(points[a:b]) for a, b in zip(bounds, bounds[1:]))
     return ContourSet(level=level, polylines=polylines)
@@ -610,29 +609,21 @@ def _contours_svg(grid: MeasureGrid, levels, to_x, to_y) -> list[str]:
     the level's last. Split at the tabs, each level's lines become its
     ``<path>`` elements by one ``str.replace``.
     """
-    drawn = [
-        (level, *entry) for level, entry in zip(levels, _contour_polylines(grid, levels))
-        if entry[0].size
-    ]
-    if not drawn:
+    x, y, bounds = _contour_polylines(grid, levels)
+    if not x.size:
         return []
-    levels, xs, ys, bounds = zip(*drawn)
-    sizes = [x.size for x in xs]
-    starts = (np.cumsum(sizes) - sizes).tolist()
-    x = to_x(np.concatenate(xs))
-    y = to_y(np.concatenate(ys))
-    # every polyline's bounds in the panel's vertices; the first is 0
-    marks = np.concatenate(bounds) + np.repeat(starts, [len(b) for b in bounds])
+    drawn = [(level, offsets) for level, offsets in zip(levels, bounds) if len(offsets) > 1]
+    x, y = to_x(x), to_y(y)
     separators = np.full(x.size, b" L ")
-    separators[marks[1:] - 1] = b"\n"
-    separators[np.add(starts, sizes) - 1] = b"\t"
+    separators[[k - 1 for offsets in bounds for k in offsets[1:]]] = b"\n"
+    separators[[offsets[-1] - 1 for _, offsets in drawn]] = b"\t"
     texts = _format2(np.concatenate((x, y)))
     lines = _joined(_NO_OPEN, texts[None, : x.size], _SPACE, texts[None, x.size :], separators)
     parts = []
-    for level, paths, level_bounds, start in zip(levels, lines.split("\t"), bounds, starts):
-        lengths = [b - a for a, b in zip(level_bounds, level_bounds[1:])]
+    for (level, offsets), paths in zip(drawn, lines.split("\t")):
+        lengths = [b - a for a, b in zip(offsets, offsets[1:])]
         longest = lengths.index(max(lengths))
-        middle = start + level_bounds[longest] + lengths[longest] // 2
+        middle = offsets[longest] + lengths[longest] // 2
         label = _tick_label(level)
         parts += (
             f'<g class="level" data-level="{label}">',
@@ -854,17 +845,11 @@ _BLOCK = 4096  # cells per block of the exporters
 
 
 def _blocks(grid: MeasureGrid):
-    """Row-major blocks of about ``_BLOCK`` cells: ``(rows, cols)`` slices.
-
-    A block is a run of whole rows, or a stretch of one row if a row alone
-    is wider than ``_BLOCK``, so what the exporters hold stays bounded.
-    """
+    """Row-major blocks of whole rows, about ``_BLOCK`` cells or one row each:
+    row slices, so what the exporters hold stays bounded."""
     rows, cols = grid.c_values.shape
-    width = max(1, min(cols, _BLOCK))
-    step = max(1, _BLOCK // width)
-    for i in range(0, rows, step):
-        for j in range(0, cols, width):
-            yield slice(i, min(i + step, rows)), slice(j, min(j + width, cols))
+    step = max(1, _BLOCK // max(1, cols))
+    return (slice(i, i + step) for i in range(0, rows, step))
 
 
 def _cell_texts(values, masked, masked_text: bytes, slow_text) -> np.ndarray:
@@ -915,11 +900,11 @@ def grids_to_csv(grids) -> str:
         heads = np.array([f"{f_text},{p0:.12g}," for p0 in grid.p0_axis.tolist()], dtype="S")
         axes = zip(grid.rr_axis.tolist(), grid.par_axis.tolist())
         middles = np.array([f"{rr:.12g},{par_value:.12g}," for rr, par_value in axes], dtype="S")
-        for rows, cols in _blocks(grid):
-            masked = grid.mask[rows, cols]
-            texts = _cell_texts(grid.c_values[rows, cols], masked, b"", "%.12g".__mod__)
+        for rows in _blocks(grid):
+            masked = grid.mask[rows]
+            texts = _cell_texts(grid.c_values[rows], masked, b"", "%.12g".__mod__)
             tails = np.where(masked, b",true\n", b",false\n")
-            parts.append(_joined(_NO_OPEN, heads[None, cols], middles[rows, None], texts, tails))
+            parts.append(_joined(_NO_OPEN, heads, middles[rows, None], texts, tails))
     return "".join(parts)
 
 
@@ -945,17 +930,16 @@ def _grid_json_parts(grid: MeasureGrid, mask_texts: dict) -> list[str]:
     leads = np.full(grid.p0_axis.size, _JSON_NEXT)
     leads[0] = b""
     c_parts, mask_parts = [',\n      "c_values": '], [',\n      "mask": ']
-    for rows, cols in _blocks(grid):
-        masked = grid.mask[rows, cols]
-        texts = _cell_texts(grid.c_values[rows, cols], masked, b"null", _json_float)
-        # a block that starts inside a row opens none
-        opens = np.full(masked.shape[0], _JSON_ROW) if cols.start == 0 else _NO_OPEN
-        if rows.start == cols.start == 0:
+    for rows in _blocks(grid):
+        masked = grid.mask[rows]
+        texts = _cell_texts(grid.c_values[rows], masked, b"null", _json_float)
+        opens = np.full(masked.shape[0], _JSON_ROW)
+        if rows.start == 0:
             opens[0] = _JSON_FIRST
-        c_parts.append(_joined(opens, leads[cols], texts))
-        key = (rows.start == 0, cols.start == 0, masked.shape, np.packbits(masked).tobytes())
+        c_parts.append(_joined(opens, leads, texts))
+        key = (rows.start == 0, masked.shape, np.packbits(masked).tobytes())
         if key not in mask_texts:
-            mask_texts[key] = _joined(opens, leads[cols], np.where(masked, b"true", b"false"))
+            mask_texts[key] = _joined(opens, leads, np.where(masked, b"true", b"false"))
         mask_parts.append(mask_texts[key])
     return parts + c_parts + [_JSON_CLOSE] + mask_parts + [_JSON_CLOSE, "\n    }"]
 

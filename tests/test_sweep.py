@@ -294,6 +294,13 @@ def _vertices(contour_set):
     return [point for polyline in contour_set.polylines for point in polyline]
 
 
+def _per_level(grid, levels):
+    """``_contour_polylines`` as one ``(x, y, bounds)`` per level, in order,
+    each level's bounds counted from its own first vertex."""
+    x, y, bounds = _contour_polylines(grid, levels)
+    return [(x[a[0] : a[-1]], y[a[0] : a[-1]], [k - a[0] for k in a]) for a in bounds]
+
+
 class TestExtractContours:
     def test_level_below_field_is_empty_or_boundary(self, default_grids):
         contour = extract_contours(default_grids[1], 0.5)
@@ -322,7 +329,7 @@ class TestExtractContours:
         if masked:
             grid = dataclasses.replace(grid, mask=np.ones_like(grid.mask))
         levels = (0.99, 0.3, -1.0, 0.55) if masked else (0.99, 0.3, -1.0)
-        result = _contour_polylines(grid, levels)
+        result = _per_level(grid, levels)
         assert len(result) == len(levels)
         for x, y, bounds in result:
             assert x.size == 0 and y.size == 0
@@ -561,7 +568,7 @@ def _packed(contour_set):
 
 
 def _level_contour(level, vertices):
-    """One level of ``_contour_polylines`` as a ContourSet.
+    """One level's polylines as a ContourSet.
 
     ``vertices`` is ``(x, y, bounds)``: polyline ``k`` pairs
     ``x[bounds[k]:bounds[k + 1]]`` with the same stretch of ``y``.
@@ -682,7 +689,7 @@ class TestContourByteIdentity:
         values, mask = drawn
         levels = (0.5, 0.0, 1.0)
         for grid in (_synthetic_grid(values), _synthetic_grid(values, mask)):
-            for level, vertices in zip(levels, _contour_polylines(grid, levels)):
+            for level, vertices in zip(levels, _per_level(grid, levels)):
                 expected = _reference_extract_contours(grid, level)
                 assert _packed(_level_contour(level, vertices)) == _packed(expected)
                 assert _packed(extract_contours(grid, level)) == _packed(expected)
@@ -697,7 +704,7 @@ class TestContourByteIdentity:
         values, mask = drawn
         for grid in (_synthetic_grid(values), _synthetic_grid(values, mask)):
             levels = data.draw(_level_lists(values))
-            for level, vertices in zip(levels, _contour_polylines(grid, levels)):
+            for level, vertices in zip(levels, _per_level(grid, levels)):
                 expected = _reference_extract_contours(grid, level)
                 assert _packed(_level_contour(level, vertices)) == _packed(expected)
                 assert _packed(extract_contours(grid, level)) == _packed(expected)
@@ -727,11 +734,32 @@ class TestContourByteIdentity:
         # the reference keeps out only masked cells
         reference_grid = dataclasses.replace(grid, mask=grid.mask | ~np.isfinite(grid.c_values))
         levels = data.draw(_level_lists(grid.c_values))
-        polylines = _contour_polylines(grid, levels)
+        polylines = _per_level(grid, levels)
         assert len(polylines) == len(levels)
         for level, vertices in zip(levels, polylines):
             contour = _level_contour(level, vertices)
             assert _packed(contour) == _packed(_reference_extract_contours(reference_grid, level))
+
+    # unsorted, repeated and signed-zero levels share one vertex array
+    @settings(derandomize=True, max_examples=100, deadline=None)
+    @given(
+        _small_grids(st.sampled_from((0.0, 0.25, 0.5, 1.0)) | st.floats(0.0, 1.0), max_side=10),
+        st.data(),
+    )
+    def test_levels_laid_out_in_the_given_order(self, drawn, data):
+        values, mask = drawn
+        grid = _synthetic_grid(values, mask)
+        levels = data.draw(_level_lists(values))
+        x, y, bounds = _contour_polylines(grid, levels)
+        assert len(bounds) == len(levels)
+        end = 0
+        for level, offsets in zip(levels, bounds):
+            # each level's stretch opens where the previous level's closed
+            assert offsets[0] == end
+            end = offsets[-1]
+            contour = _level_contour(level, (x, y, offsets))
+            assert _packed(contour) == _packed(extract_contours(grid, level))
+        assert end == x.size == y.size
 
     @pytest.mark.parametrize("levels", [[0.0, -0.0], [-0.0, 0.0]])
     def test_signed_zero_levels_keep_their_own_sign(self, levels):
@@ -744,7 +772,7 @@ class TestContourByteIdentity:
             par_axis=[0.0, 0.0],
             mask=np.zeros((2, 2), dtype=bool),
         )
-        for level, vertices in zip(levels, _contour_polylines(grid, levels)):
+        for level, vertices in zip(levels, _per_level(grid, levels)):
             contour = _level_contour(level, vertices)
             assert _packed(contour) == _packed(_reference_extract_contours(grid, level))
 
@@ -1038,15 +1066,16 @@ def _near_ties(rng, size):
 def _block_grids():
     """Two lattices over several exporter blocks.
 
-    The first has rows wider than a block, so blocks start inside rows; the
+    The first has rows wider than a block, each a block of its own; the
     second has blocks of several rows. Each holds near-tie values, values
     off the kernel's fast path (c < 0.1, c = 1, one that rounds to 1), and
-    masked cells that are no row prefix: a run across a block boundary,
-    interior cells, and masked cells holding finite values.
+    masked cells that are no row prefix: a run across cell ``_BLOCK`` of
+    the first lattice or the second's first block boundary, interior
+    cells, and masked cells holding finite values.
     """
     rng = np.random.default_rng(19)
     grids = []
-    # boundary: the first cell of the second block
+    # boundary: cell _BLOCK of a row, or the first cell of the second block
     for rows, cols, boundary in ((3, _BLOCK + 904, _BLOCK), (9, 1000, (_BLOCK // 1000) * 1000)):
         values = rng.uniform(0.5, 1.0, rows * cols)
         values[::3] = _near_ties(rng, values[::3].size)
