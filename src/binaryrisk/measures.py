@@ -466,7 +466,7 @@ def rr_for_target_c(f, p0, target_c, *, tolerance=1e-10) -> float:
                 z_lo, z_hi = a, b
                 break
 
-    # c_lo < target <= c_hi holds throughout; an end's c is None until needed
+    # c(lo) < target <= c(hi) holds throughout
     while True:
         # rounds as 0.5 * (lo + hi) does, but cannot overflow near 1.8e308
         mid = 0.5 * lo + 0.5 * hi
@@ -476,16 +476,11 @@ def rr_for_target_c(f, p0, target_c, *, tolerance=1e-10) -> float:
                 return mid
             below = c_mid < target
         else:
-            c_mid, below = None, mid <= z_lo
+            below = mid <= z_lo
         if mid == lo or mid == hi:
-            # lo and hi are adjacent floats: the bracket cannot shrink. An end
-            # not yet evaluated gets the value bisection would have stored.
-            if c_lo is None:
-                c_lo = c_at(lo)
-            if c_hi is None:
-                c_hi = c_at(hi)
-            return lo if target - c_lo < c_hi - target else hi
-        if below:
-            lo, c_lo = mid, c_mid
-        else:
-            hi, c_hi = mid, c_mid
+            # lo and hi are adjacent floats: the bracket cannot shrink. Each end
+            # is 1, whose c is exactly 1/2, or an rr whose c bisection evaluated,
+            # or could have without raising: evaluating it again gives those bits.
+            c_lo = c_lo if lo == 1.0 else c_at(lo)
+            return lo if target - c_lo < c_at(hi) - target else hi
+        lo, hi = (mid, hi) if below else (lo, mid)

@@ -162,11 +162,11 @@ class ContourSet:
 def evaluate_grid(spec: GridSpec, prevalence: float) -> MeasureGrid:
     """Evaluate the c-index lattice for one prevalence panel of ``spec``.
 
-    All unmasked cells go through the shared measure kernel in one array
-    call, the same code that :func:`derive_measures` runs on one scenario,
-    so grid values equal direct scenario evaluation bit for bit. The kernel
-    takes the p0 axis broadcast against the (rr, p0) lattice of p1; only a
-    lattice with masked cells compacts the two first.
+    Every cell goes through the shared measure kernel in one array call,
+    the same code that :func:`derive_measures` runs on one scenario, so grid
+    values equal direct scenario evaluation bit for bit. The kernel takes
+    the p0 axis broadcast against the (rr, p0) lattice of p1; masked cells
+    are evaluated at a feasible stand-in, then overwritten with NaN.
     """
     _require_type(spec, GridSpec, "spec")
     if prevalence not in spec.prevalences:
@@ -178,21 +178,22 @@ def evaluate_grid(spec: GridSpec, prevalence: float) -> MeasureGrid:
     rr_column = rr_axis[:, None]
     p1 = rr_column * p0_axis
     mask = p1 > 1.0
-    # rr only feeds the kernel's PAR, which is discarded: the column will do
-    if mask.any():
-        ok = ~mask
-        c_values = np.full(p1.shape, np.nan)
-        p0_cells = np.broadcast_to(p0_axis, p1.shape)[ok]
-        c_values[ok] = _measure_kernel(prevalence, p0_cells, p1[ok], rr_column)[4]
-    else:
-        c_values = _measure_kernel(prevalence, p0_axis, p1, rr_column)[4]
-    par_axis = _par(prevalence, rr_axis)
+    # A masked cell is taken at p1 = 1: its cases denominator is at least that
+    # of every kept cell of its column, so it fails the float floor only where
+    # one of them does. A column with no kept cell (row 0 holds the smallest
+    # products) is taken at p0 = 1/2. The controls denominator (1-f)*(1-p0) is
+    # positive, and the upscaled branch p1 = 1 takes is an exact scaling: no
+    # discarded cell can raise or change a kept bit.
+    p1[mask] = 1.0
+    p0_row = np.where(mask[0], 0.5, p0_axis)
+    *_, par_column, c_values = _measure_kernel(prevalence, p0_row, p1, rr_column)
+    c_values[mask] = np.nan
     return MeasureGrid(
         prevalence=float(prevalence),
         p0_axis=p0_axis,
         rr_axis=rr_axis,
         c_values=c_values,
-        par_axis=par_axis,
+        par_axis=par_column.ravel(),
         mask=mask,
     )
 
@@ -317,8 +318,7 @@ def _contour_polylines(
     y = rr_axis[ia] + t * (rr_axis[ib] - rr_axis[ia])
     distinct = (x[:, 0] != x[:, 1]) | (y[:, 0] != y[:, 1])
     x, y = x[distinct], y[distinct]
-    bounds = np.searchsorted(rank[cell[distinct]], np.arange(ladder.size + 1))
-    return _stitch(x, y, bounds, np.argsort(by_value).tolist())
+    return _stitch(x, y, rank[cell[distinct]], np.argsort(by_value).tolist())
 
 
 def _list_rank(succ: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -340,12 +340,12 @@ def _list_rank(succ: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return last, dist
 
 
-def _stitch(x, y, bounds, walk) -> tuple[np.ndarray, np.ndarray, list[list[int]]]:
+def _stitch(x, y, segment_level, walk) -> tuple[np.ndarray, np.ndarray, list[list[int]]]:
     """Join each level's segments sharing endpoints into polylines, deterministically.
 
-    Rows ``bounds[k]:bounds[k + 1]`` of ``x`` and ``y``, one segment each,
-    belong to level ``k``, and ``walk`` lists the levels in the order they
-    are laid out; endpoint ``e`` of segment ``e // 2`` sits at
+    Row ``k`` of ``x`` and ``y`` is one segment, of level ``segment_level[k]``
+    (small unsigned integers), and ``walk`` lists the levels in the order
+    they are laid out; endpoint ``e`` of segment ``e // 2`` sits at
     ``(x.flat[e], y.flat[e])``. Within a level, equal coordinates make one
     node; nodes are numbered in ascending (level, x, y) order: a stable
     sort of the points x + iy, then one of their levels. Chains start at
@@ -368,9 +368,9 @@ def _stitch(x, y, bounds, walk) -> tuple[np.ndarray, np.ndarray, list[list[int]]
     """
     xs, ys = x.ravel(), y.ravel()
     n = xs.size
-    levels = len(bounds) - 1
+    levels = len(walk)
     # small integers: their stable sort is a radix sort
-    level_of = np.repeat(np.arange(levels, dtype=np.min_scalar_type(levels)), 2 * np.diff(bounds))
+    level_of = np.repeat(segment_level, 2)
     # numpy orders complex numbers by real part, then imaginary part, with
     # 0.0 == -0.0; stable sorts keep each node's endpoints in segment order
     point = np.empty(n, dtype=complex)
@@ -610,8 +610,6 @@ def _contours_svg(grid: MeasureGrid, levels, to_x, to_y) -> list[str]:
     ``<path>`` elements by one ``str.replace``.
     """
     x, y, bounds = _contour_polylines(grid, levels)
-    if not x.size:
-        return []
     drawn = [(level, offsets) for level, offsets in zip(levels, bounds) if len(offsets) > 1]
     x, y = to_x(x), to_y(y)
     separators = np.full(x.size, b" L ")

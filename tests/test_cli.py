@@ -776,6 +776,12 @@ def _check_sweep_payload(envelope):
         assert abs(value - exact) <= half_unit + 2 * Fraction(math.ulp(0.5)), (f, p0, rr)
 
 
+def _exact_par(f, rr):
+    """The PAR at the floats f and rr, exactly."""
+    excess = Fraction(f) * (Fraction(rr) - 1)
+    return excess / (excess + 1)
+
+
 def _check_exit_zero_results(argv, envelope):
     """Check what an exit-0 run of ``argv`` printed against the exact oracles."""
     flags = _flag_values(argv)
@@ -796,8 +802,7 @@ def _check_exit_zero_results(argv, envelope):
                 tolerance = float(flags.get("tolerance", 1e-10))
                 assert meets_solver_contract(f, p0, target, rr, tolerance)
         else:
-            excess = Fraction(f) * (Fraction(rr) - 1)
-            assert ulps_off(verification["par"], excess / (excess + 1)) <= 4
+            assert ulps_off(verification["par"], _exact_par(f, rr)) <= 4
     elif argv[0] == "simulate":
         inputs, results = envelope["inputs"], envelope["results"]
         f, p0, rr = inputs["f"], inputs["p0"], inputs["rr"]
@@ -809,7 +814,11 @@ def _check_exit_zero_results(argv, envelope):
         # the empirical record is the kernel at the printed plug-in rates
         rates = results["empirical"]
         exact = derive_exact(rates["f"], rates["p0"], Fraction(rates["p1"]) / Fraction(rates["p0"]))
-        assert ulps_off(rates["c_index"], exact["c_index"]) <= 4
+        for name in ("f_cases", "f_controls", "c_index"):
+            assert ulps_off(rates[name], exact[name]) <= 4, name
+        # PAR reads the printed rr: at the exact p1/p0 the cancellation near
+        # rr = 1 would cost up to about 100 ulp
+        assert ulps_off(rates["par"], _exact_par(rates["f"], rates["rr"])) <= 4
         # as for compute: the closed form at the rounded product p1
         closed_form = results["closed_form"]
         exact = derive_exact(f, p0, Fraction(closed_form["p1"]) / Fraction(p0))["c_index"]

@@ -230,6 +230,25 @@ class TestEvaluateGrid:
         assert np.all(unmasked >= 0.5)
         assert np.all(unmasked < 1.0)
 
+    # at f = 1e-320 every cell's overall incidence lies below the float floor
+    SUBNORMAL = dict(
+        prevalences=(1e-320,), p0_max=2e-308, rr_min=1e308, rr_max=1.5e308, resolution=3
+    )
+
+    def test_fully_masked_subnormal_panel_does_not_raise(self):
+        # rr * p0 >= 1.5 in every cell: no column keeps a cell, so none of
+        # the discarded ones may raise
+        grid = evaluate_grid(GridSpec(p0_min=1.5e-308, **self.SUBNORMAL), 1e-320)
+        assert np.all(grid.mask)
+        assert np.all(np.isnan(grid.c_values))
+        for i, rr in enumerate(grid.rr_axis.tolist()):
+            assert grid.par_axis[i] == par(1e-320, rr)
+
+    def test_kept_corner_below_the_float_floor_raises(self):
+        # rr_min * p0_min = 1 keeps the corner
+        with pytest.raises(DegenerateScenarioError, match="below the float floor"):
+            evaluate_grid(GridSpec(p0_min=1e-308, **self.SUBNORMAL), 1e-320)
+
     def test_prevalence_must_be_a_panel(self, default_spec):
         with pytest.raises(InvalidParamsError):
             evaluate_grid(default_spec, 0.3)
