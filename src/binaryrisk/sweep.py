@@ -318,7 +318,7 @@ def _contour_polylines(
     y = rr_axis[ia] + t * (rr_axis[ib] - rr_axis[ia])
     distinct = (x[:, 0] != x[:, 1]) | (y[:, 0] != y[:, 1])
     x, y = x[distinct], y[distinct]
-    return _stitch(x, y, rank[cell[distinct]], np.argsort(by_value).tolist())
+    return _stitch(x, y, by_value.astype(rank_type)[rank[cell[distinct]]], levels.size)
 
 
 def _list_rank(succ: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -340,12 +340,12 @@ def _list_rank(succ: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return last, dist
 
 
-def _stitch(x, y, segment_level, walk) -> tuple[np.ndarray, np.ndarray, list[list[int]]]:
+def _stitch(x, y, segment_level, levels) -> tuple[np.ndarray, np.ndarray, list[list[int]]]:
     """Join each level's segments sharing endpoints into polylines, deterministically.
 
-    Row ``k`` of ``x`` and ``y`` is one segment, of level ``segment_level[k]``
-    (small unsigned integers), and ``walk`` lists the levels in the order
-    they are laid out; endpoint ``e`` of segment ``e // 2`` sits at
+    Row ``k`` of ``x`` and ``y`` is one segment, of level ``segment_level[k]``:
+    a small unsigned integer, the level's index among the ``levels`` levels
+    as given. Endpoint ``e`` of segment ``e // 2`` sits at
     ``(x.flat[e], y.flat[e])``. Within a level, equal coordinates make one
     node; nodes are numbered in ascending (level, x, y) order: a stable
     sort of the points x + iy, then one of their levels. Chains start at
@@ -363,12 +363,11 @@ def _stitch(x, y, segment_level, walk) -> tuple[np.ndarray, np.ndarray, list[lis
     both of its segments.
 
     Returns ``(x, y, offsets)``: the vertices of every polyline, level by
-    level in ``walk`` order, and per level the offsets at which its
+    level in index order, and per level the offsets at which its
     polylines start, closed by its end.
     """
     xs, ys = x.ravel(), y.ravel()
     n = xs.size
-    levels = len(walk)
     # small integers: their stable sort is a radix sort
     level_of = np.repeat(segment_level, 2)
     # numpy orders complex numbers by real part, then imaginary part, with
@@ -449,7 +448,7 @@ def _stitch(x, y, segment_level, walk) -> tuple[np.ndarray, np.ndarray, list[lis
     # (equal points can differ in the sign of a zero).
     lo, width, count = [], [], 0
     level_offsets = []
-    for level in walk:
+    for level in range(levels):
         offsets = [count]
         # open chains first, anchored at odd-degree nodes, then cycles
         anchors = odd[odd_cut[level] : odd_cut[level + 1]]
@@ -680,7 +679,21 @@ def render_svg(grids, spec: GridSpec) -> str:
 
 
 def _json_float(x) -> str:
-    return _json_floats("%.12g", (x,))
+    """``x`` as ``json.dumps(float(format(x, ".12g")))``; a non-finite value
+    raises :class:`RenderError`.
+
+    A ``.12g`` text with a point and no exponent is already the shortest
+    repr of the rounded value. The other texts (integral values, ``-0``,
+    and the exponent forms, where ``.12g`` and repr lay out digits
+    differently) are written by repr.
+    """
+    text = "%.12g" % x
+    if "." in text and "e" not in text:
+        return text
+    value = float(text)
+    if not math.isfinite(value):
+        raise RenderError(f"cannot export the non-finite value {text} as JSON")
+    return repr(value)
 
 
 def _json_array(texts: list[str], indent: int) -> str:
@@ -689,45 +702,6 @@ def _json_array(texts: list[str], indent: int) -> str:
         return "[]"
     inner = "\n" + " " * (indent + 2)
     return "[" + inner + ("," + inner).join(texts) + "\n" + " " * indent + "]"
-
-
-def _extend_json_array(parts: list[str], items, indent: int) -> None:
-    """Append to ``parts`` a JSON array of large items, each a list of parts.
-
-    Same layout as :func:`_json_array`, but nothing is joined here: one
-    join of the whole document keeps a single copy of the text in memory.
-    """
-    inner = "\n" + " " * (indent + 2)
-    empty = True
-    for item in items:
-        parts.append("[" + inner if empty else "," + inner)
-        parts += item
-        empty = False
-    parts.append("[]" if empty else "\n" + " " * indent + "]")
-
-
-def _json_floats(template: str, values: tuple) -> str:
-    """``template % values``, each ``%.12g`` slot as ``json.dumps(float(format(v, ".12g")))``.
-
-    ``template`` holds no ``.`` or ``e`` outside its slots. A ``.12g`` text
-    with a point and no exponent is already the shortest repr of the
-    rounded value, so a result with one point per value and no ``e`` took
-    one ``%`` operation. Otherwise each of the other texts (integral values,
-    ``-0``, and the exponent forms, where ``.12g`` and repr lay out digits
-    differently) is written by repr, and a non-finite value raises
-    :class:`RenderError`.
-    """
-    text = template % values
-    if text.count(".") == len(values) and "e" not in text:
-        return text
-    texts = ["%.12g" % v for v in values]
-    for k, text in enumerate(texts):
-        if "." not in text or "e" in text:
-            value = float(text)
-            if not math.isfinite(value):
-                raise RenderError(f"cannot export the non-finite value {text} as JSON")
-            texts[k] = repr(value)
-    return template.replace("%.12g", "%s") % tuple(texts)
 
 
 # The exporters' "%.12g" kernel. On an rr >= 1 lattice every c-value lies in
@@ -919,8 +893,7 @@ def _grid_json_parts(grid: MeasureGrid, mask_texts: dict) -> list[str]:
     distinct mask block, so panels and blocks with equal flags share it."""
     parts = [f'{{\n      "prevalence": {_json_float(grid.prevalence)}']
     for name in ("p0_axis", "rr_axis", "par_axis"):
-        values = tuple(getattr(grid, name).tolist())
-        text = _json_floats(_json_array(["%.12g"] * len(values), 6), values)
+        text = _json_array([_json_float(v) for v in getattr(grid, name).tolist()], 6)
         parts.append(f',\n      "{name}": {text}')
     if not grid.c_values.size:
         empty = _json_array(["[]"] * grid.rr_axis.size, 6)
@@ -961,6 +934,8 @@ def grids_to_json(grids, spec: GridSpec) -> str:
         f',\n    "contour_levels": {levels}\n  }},\n  "grids": '
     ]
     mask_texts = {}
-    _extend_json_array(parts, (_grid_json_parts(grid, mask_texts) for grid in grids), 2)
-    parts.append("\n}\n")
+    for k, grid in enumerate(grids):
+        parts.append(",\n    " if k else "[\n    ")
+        parts += _grid_json_parts(grid, mask_texts)
+    parts.append("\n  ]\n}\n" if len(parts) > 1 else "[]\n}\n")
     return "".join(parts)

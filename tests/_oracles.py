@@ -34,7 +34,7 @@ def derive_exact(f, p0, rr):
     p1 = rr * p0
     f_cases = f * p1 / (f * p1 + (1 - f) * p0)
     f_controls = f * (1 - p1) / (f * (1 - p1) + (1 - f) * (1 - p0))
-    par = f * (rr - 1) / (f * (rr - 1) + 1)
+    par = exact_par(f, rr)
     c_index = Fraction(1, 2) * (1 + f_cases - f_controls)
     return {
         "p1": p1,
@@ -43,6 +43,12 @@ def derive_exact(f, p0, rr):
         "par": par,
         "c_index": c_index,
     }
+
+
+def exact_par(f, rr):
+    """The PAR at f and rr, exactly."""
+    excess = Fraction(f) * (Fraction(rr) - 1)
+    return excess / (excess + 1)
 
 
 def ulps_off(value, exact):

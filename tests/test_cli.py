@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 from binaryrisk import GridSpec, PopulationParams, cli, derive_measures, max_feasible_rr, par
 from binaryrisk.cli import build_parser, main
 
-from _oracles import derive_exact, meets_solver_contract, tabulate_cohort, ulps_off
+from _oracles import derive_exact, exact_par, meets_solver_contract, tabulate_cohort, ulps_off
 
 C_INDEX_02 = 0.5408580183861083
 PAR_02 = 0.09090909090909091
@@ -686,6 +686,19 @@ def _valid_sweep(draw):
 
 
 @st.composite
+def _valid_compute(draw):
+    """``compute`` with f in (0, 1), p0 >= 1e-200 and rr in (0, 1/p0]."""
+    f = draw(_REACHABLE_F)
+    p0 = draw(st.sampled_from((1e-200, 0.5, 0.9999999999999999))
+              | st.floats(1e-200, 1.0, exclude_max=True))
+    rr = draw(st.floats(0.0, max_feasible_rr(p0), exclude_min=True))
+    argv = ["compute"]
+    for flag, value in (("f", f), ("p0", p0), ("rr", rr)):
+        argv += _flag_tokens(draw, flag, repr(value))
+    return argv
+
+
+@st.composite
 def _valid_simulate(draw):
     """``simulate`` with both exposure groups, cases and controls all but surely drawn:
     f and p0 in [0.05, 0.5], rr in [0.5, 2] and n in [1000, 5000]."""
@@ -776,21 +789,20 @@ def _check_sweep_payload(envelope):
         assert abs(value - exact) <= half_unit + 2 * Fraction(math.ulp(0.5)), (f, p0, rr)
 
 
-def _exact_par(f, rr):
-    """The PAR at the floats f and rr, exactly."""
-    excess = Fraction(f) * (Fraction(rr) - 1)
-    return excess / (excess + 1)
-
-
 def _check_exit_zero_results(argv, envelope):
     """Check what an exit-0 run of ``argv`` printed against the exact oracles."""
     flags = _flag_values(argv)
     if argv[0] == "compute":
-        f, p0 = float(flags["f"]), float(flags["p0"])
-        c_index, p1 = envelope["results"]["c_index"], envelope["results"]["p1"]
+        inputs, results = envelope["inputs"], envelope["results"]
+        f, p0, rr, p1 = inputs["f"], inputs["p0"], inputs["rr"], results["p1"]
         # p1 is the rounded rr*p0, the product the validation accepted
-        exact = derive_exact(f, p0, Fraction(p1) / Fraction(p0))["c_index"]
-        assert abs(Fraction(c_index) - exact) <= 2 * Fraction(math.ulp(0.5))
+        assert p1 == rr * p0
+        exact = derive_exact(f, p0, Fraction(p1) / Fraction(p0))
+        for name in ("f_cases", "f_controls"):
+            assert ulps_off(results[name], exact[name]) <= 4, name
+        assert abs(Fraction(results["c_index"]) - exact["c_index"]) <= 2 * Fraction(math.ulp(0.5))
+        # PAR reads the typed rr, not the rounded product
+        assert ulps_off(results["par"], exact_par(f, rr)) <= 4
     elif argv[0] == "solve":
         f, rr = float(flags["f"]), envelope["results"]["rr"]
         verification = envelope["results"]["verification"]
@@ -802,7 +814,7 @@ def _check_exit_zero_results(argv, envelope):
                 tolerance = float(flags.get("tolerance", 1e-10))
                 assert meets_solver_contract(f, p0, target, rr, tolerance)
         else:
-            assert ulps_off(verification["par"], _exact_par(f, rr)) <= 4
+            assert ulps_off(verification["par"], exact_par(f, rr)) <= 4
     elif argv[0] == "simulate":
         inputs, results = envelope["inputs"], envelope["results"]
         f, p0, rr = inputs["f"], inputs["p0"], inputs["rr"]
@@ -818,7 +830,7 @@ def _check_exit_zero_results(argv, envelope):
             assert ulps_off(rates[name], exact[name]) <= 4, name
         # PAR reads the printed rr: at the exact p1/p0 the cancellation near
         # rr = 1 would cost up to about 100 ulp
-        assert ulps_off(rates["par"], _exact_par(rates["f"], rates["rr"])) <= 4
+        assert ulps_off(rates["par"], exact_par(rates["f"], rates["rr"])) <= 4
         # as for compute: the closed form at the rounded product p1
         closed_form = results["closed_form"]
         exact = derive_exact(f, p0, Fraction(closed_form["p1"]) / Fraction(p0))["c_index"]
@@ -838,11 +850,12 @@ class TestWholeDomainContract:
     )
     @given(reachable=st.integers(0, 3).map(lambda k: k == 0), data=st.data())
     def test_exit_code_stdout_and_results(self, reachable, data, run_cli, tmp_path, monkeypatch):
-        # a reachable draw runs one --target-c and one --target-par solve, one
-        # sweep over a valid window and one simulate
+        # a reachable draw runs one compute, one --target-c and one
+        # --target-par solve, one sweep over a valid window and one simulate
         if reachable:
-            argvs = [data.draw(_reachable_solve()), data.draw(_reachable_par_solve()),
-                     data.draw(_valid_sweep()), data.draw(_valid_simulate())]
+            argvs = [data.draw(_valid_compute()), data.draw(_reachable_solve()),
+                     data.draw(_reachable_par_solve()), data.draw(_valid_sweep()),
+                     data.draw(_valid_simulate())]
         else:
             argvs = [data.draw(_any_argv())]
         # sweep and plot write grids.json and figure.svg without --out

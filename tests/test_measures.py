@@ -32,7 +32,13 @@ from binaryrisk import (
 from binaryrisk import measures as measures_module
 from binaryrisk.measures import _closed_root, _measure_kernel
 
-from _oracles import bisect_rr_for_target_c, derive_exact, meets_solver_contract, ulps_off
+from _oracles import (
+    bisect_rr_for_target_c,
+    derive_exact,
+    exact_par,
+    meets_solver_contract,
+    ulps_off,
+)
 
 # Frozen expectations, computed once with the exact rational oracle
 # (see _oracles.derive_exact); fractions noted for reference.
@@ -390,6 +396,7 @@ class TestProductUnderflow:
             exact = derive_exact(f, p0, Fraction(params.p1) / Fraction(p0))
             assert ulps_off(measures.f_cases, exact["f_cases"]) <= 4, (f, p0, rr)
             assert ulps_off(measures.f_controls, exact["f_controls"]) <= 4, (f, p0, rr)
+            assert ulps_off(measures.par, exact_par(f, rr)) <= 4, (f, p0, rr)
             checked += 1
             underflowed += min(f * params.p1, f * (1.0 - params.p1)) < sys.float_info.min
         assert checked > 1500 and underflowed > 300

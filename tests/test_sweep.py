@@ -1159,6 +1159,9 @@ def export_case(request, default_spec, default_grids, wide_spec, wide_grid):
     return default_spec, default_grids, default_grids
 
 
+_NON_FINITE = (math.nan, math.inf, -math.inf)
+
+
 class TestExportByteIdentity:
     def test_json_equals_json_dumps(self, export_case):
         spec, grids, exported = export_case
@@ -1178,11 +1181,17 @@ class TestExportByteIdentity:
     def test_json_float_equals_json_dumps(self, x):
         assert _json_float(x) == json.dumps(float(format(x, ".12g")))
 
-    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
-    def test_json_rejects_unmasked_non_finite_cell(self, bad):
+    @pytest.mark.parametrize(
+        "where, bad",
+        [(where, bad) for where in ("cell", "par_axis") for bad in _NON_FINITE],
+        ids=[str(bad) for bad in _NON_FINITE] + [f"par_axis-{bad}" for bad in _NON_FINITE],
+    )
+    def test_json_rejects_unmasked_non_finite_cell(self, where, bad):
+        # MeasureGrid checks only p0_axis and rr_axis for finiteness
         values = np.full((3, 3), 0.6)
-        values[1, 2] = bad
-        grid = _synthetic_grid(values)
+        par_axis = np.zeros(3)
+        (values[1] if where == "cell" else par_axis)[2] = bad
+        grid = dataclasses.replace(_synthetic_grid(values), par_axis=par_axis)
         with pytest.raises(RenderError):
             grids_to_json([grid], GridSpec(prevalences=(0.2,)))
 
