@@ -181,12 +181,10 @@ def _f_controls(f, p0, p1):
 
 def _par(f, rr):
     excess = f * (rr - 1.0)
-    denom = excess + 1.0
-    # For rr < 1 with f*(1-rr) near 1 that sum cancels; (1-f) + f*rr has
-    # two positive terms. A product by a bool is exact, so rr >= 1 keeps
-    # its bits.
-    if _any(rr < 1.0):
-        denom = (rr < 1.0) * ((1.0 - f) + f * rr) + (rr >= 1.0) * denom
+    # For rr < 1 with f*(1-rr) near 1, excess + 1 cancels; (1-f) + f*rr has
+    # two positive terms. A product by a bool is exact and the other term
+    # is +0, so rr >= 1 keeps the bits of excess / (excess + 1).
+    denom = (rr < 1.0) * ((1.0 - f) + f * rr) + (rr >= 1.0) * (excess + 1.0)
     return excess / denom
 
 

@@ -933,9 +933,10 @@ def grids_to_json(grids, spec: GridSpec) -> str:
         f',\n    "resolution": {spec.resolution}'
         f',\n    "contour_levels": {levels}\n  }},\n  "grids": '
     ]
-    mask_texts = {}
-    for k, grid in enumerate(grids):
-        parts.append(",\n    " if k else "[\n    ")
+    mask_texts, lead, close = {}, "[\n    ", "[]\n}\n"
+    for grid in grids:
+        parts.append(lead)
         parts += _grid_json_parts(grid, mask_texts)
-    parts.append("\n  ]\n}\n" if len(parts) > 1 else "[]\n}\n")
+        lead, close = ",\n    ", "\n  ]\n}\n"
+    parts.append(close)
     return "".join(parts)

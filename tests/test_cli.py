@@ -793,9 +793,11 @@ def _check_exit_zero_results(argv, envelope):
     """Check what an exit-0 run of ``argv`` printed against the exact oracles."""
     flags = _flag_values(argv)
     if argv[0] == "compute":
+        f, p0, rr = (float(flags[name]) for name in ("f", "p0", "rr"))
         inputs, results = envelope["inputs"], envelope["results"]
-        f, p0, rr, p1 = inputs["f"], inputs["p0"], inputs["rr"], results["p1"]
+        assert (inputs["f"], inputs["p0"], inputs["rr"]) == (f, p0, rr)
         # p1 is the rounded rr*p0, the product the validation accepted
+        p1 = results["p1"]
         assert p1 == rr * p0
         exact = derive_exact(f, p0, Fraction(p1) / Fraction(p0))
         for name in ("f_cases", "f_controls"):
