@@ -182,8 +182,7 @@ def _write_record_payload(args, record: dict) -> dict:
 
 def _cmd_compute(args) -> int:
     measures = derive_measures(PopulationParams(f=args.f, p0=args.p0, rr=args.rr))
-    # the records are flat and read only: their fields, in field order, need
-    # none of the deep copies dataclasses.asdict makes
+    # the record is flat and read only: vars() gives its fields in field order
     _emit(args, _write_record_payload(args, vars(measures)))
     return EXIT_OK
 

@@ -33,6 +33,15 @@ package goes through one helper per kind of check, all defined here
 ``_require_positive``, ``_require_count``). A
 :class:`PopulationParams` that exists is always a realizable population;
 the public scalar helpers check their own arguments, as they take user input.
+
+The two records, :class:`PopulationParams` and :class:`DerivedMeasures`,
+are plain frozen classes on :class:`_FrozenRecord`, not dataclasses:
+``dataclasses`` imports ``inspect`` and through it ``ast``, ``dis`` and
+``tokenize``, which took 40-60% of ``import binaryrisk.cli``, while a
+``compute`` or ``solve`` run does some 25 microseconds of arithmetic.
+They keep the dataclass behaviour: construction by position or keyword,
+``repr``, equality and ``hash`` over the compared fields, pickling, and
+the ``vars()`` key order that orders the CLI's ``results``.
 """
 
 from __future__ import annotations
@@ -40,7 +49,6 @@ from __future__ import annotations
 import math
 import operator
 import sys
-from dataclasses import dataclass, field
 
 from .errors import (
     DegenerateScenarioError,
@@ -202,8 +210,40 @@ def _measure_kernel(f, p0, p1, rr):
     return p1, f_cases, f_controls, _par(f, rr), _c_linear(f_cases, f_controls)
 
 
-@dataclass(frozen=True)
-class PopulationParams:
+class _FrozenRecord:
+    """A read-only record compared, hashed and shown by the names in ``_fields``.
+
+    A subclass sets its attributes with ``object.__setattr__`` in its
+    ``__init__``; they live in the instance ``__dict__``, so ``vars()``,
+    pickling and ``copy`` work as for any plain object.
+    """
+
+    __slots__ = ()
+    _fields: tuple[str, ...] = ()
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self._fields)
+
+    def __repr__(self) -> str:
+        body = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__qualname__}({body})"
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._values() == other._values()
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+class PopulationParams(_FrozenRecord):
     """A realizable population scenario for one binary risk factor.
 
     f
@@ -216,16 +256,21 @@ class PopulationParams:
         probability.
 
     p1
-        Disease incidence among the exposed, rr * p0; derived, not passed.
+        Disease incidence among the exposed, rr * p0; derived, not passed,
+        and neither shown nor compared.
 
     Construction validates every constraint; the constraint check is not
     repeated downstream.
     """
 
-    f: float
-    p0: float
-    rr: float
-    p1: float = field(init=False, repr=False, compare=False)
+    __match_args__ = _fields = ("f", "p0", "rr")
+
+    def __init__(self, f: float, p0: float, rr: float) -> None:
+        object.__setattr__(self, "f", f)
+        object.__setattr__(self, "p0", p0)
+        object.__setattr__(self, "rr", rr)
+        # looked up on the class, so a wrapper set there sees every construction
+        self.__post_init__()
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "f", _require_prob(self.f, "f", open_interval=True))
@@ -235,8 +280,7 @@ class PopulationParams:
         object.__setattr__(self, "rr", rr)
 
 
-@dataclass(frozen=True)
-class DerivedMeasures:
+class DerivedMeasures(_FrozenRecord):
     """All measures computed from one scenario.
 
     ``par`` is negative when the factor is protective (rr < 1); for
@@ -245,11 +289,16 @@ class DerivedMeasures:
     including protective ones, can be carried in the same type.
     """
 
-    p1: float
-    f_cases: float
-    f_controls: float
-    par: float
-    c_index: float
+    __match_args__ = _fields = ("p1", "f_cases", "f_controls", "par", "c_index")
+
+    def __init__(
+        self, p1: float, f_cases: float, f_controls: float, par: float, c_index: float
+    ) -> None:
+        object.__setattr__(self, "p1", p1)
+        object.__setattr__(self, "f_cases", f_cases)
+        object.__setattr__(self, "f_controls", f_controls)
+        object.__setattr__(self, "par", par)
+        object.__setattr__(self, "c_index", c_index)
 
 
 def incidence_exposed(p0, rr) -> float:

@@ -10,8 +10,8 @@ that as the alternative labeling of the rr axis.
 Contours come from marching squares with linear interpolation along cell
 edges. The field is strictly monotone in both directions wherever rr > 1,
 so the only ambiguity, the two saddle cases, is settled by the sign of
-the cell-centre mean. Cells touching a masked or non-finite corner emit
-nothing: such regions sit outside every level, so no vertex is NaN or
+the cell-centre mean. Cells touching a masked corner emit nothing, and
+every unmasked value is finite (see MeasureGrid), so no vertex is NaN or
 infinite. All levels of a grid come from one span-space pass: one
 ``searchsorted`` ranks every lattice value against the sorted levels,
 and the lowest and highest corner ranks of each valid cell bound the
@@ -117,7 +117,9 @@ class MeasureGrid:
 
     ``c_values`` is indexed [rr, p0]; masked cells (rr * p0 > 1) hold NaN.
     ``par_axis`` pairs each rr with its attributable risk at this
-    prevalence.
+    prevalence. Every axis entry and every unmasked cell must be finite, so
+    a grid that exists exports and draws only finite numbers. The arrays
+    are not copied: a change made to them in place is not checked.
     """
 
     prevalence: float
@@ -129,14 +131,13 @@ class MeasureGrid:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "prevalence", _require_prob(self.prevalence, "prevalence", open_interval=True))
-        for name in ("p0_axis", "rr_axis"):
+        for name in ("p0_axis", "rr_axis", "par_axis"):
             axis = np.asarray(getattr(self, name), dtype=float)
             bad = axis[~np.isfinite(axis)]
             if bad.size:
                 raise InvalidParamsError(f"{name} must be finite, got {bad[0]}")
             object.__setattr__(self, name, axis)
         object.__setattr__(self, "c_values", np.asarray(self.c_values, dtype=float))
-        object.__setattr__(self, "par_axis", np.asarray(self.par_axis, dtype=float))
         object.__setattr__(self, "mask", np.asarray(self.mask, dtype=bool))
         shape = (self.rr_axis.size, self.p0_axis.size)
         for name in ("c_values", "mask"):
@@ -148,6 +149,12 @@ class MeasureGrid:
             raise InvalidParamsError(
                 f"par_axis must pair one value with each rr entry "
                 f"({self.rr_axis.size}), got shape {self.par_axis.shape}"
+            )
+        kept = np.isfinite(self.c_values)
+        kept |= self.mask
+        if not kept.all():
+            raise InvalidParamsError(
+                f"c_values must be finite outside the mask, got {self.c_values[~kept][0]}"
             )
 
 
@@ -268,7 +275,7 @@ def _contour_polylines(
     interpolates with its own sign.
     """
     values = grid.c_values
-    valid = ~grid.mask & np.isfinite(values)
+    valid = ~grid.mask
     cell_ok = valid[:-1, :-1] & valid[:-1, 1:] & valid[1:, 1:] & valid[1:, :-1]
     corners = (values[:-1, :-1], values[:-1, 1:], values[1:, 1:], values[1:, :-1])
 
@@ -480,9 +487,9 @@ def extract_contours(grid: MeasureGrid, level) -> ContourSet:
     """Polylines where the c-index field crosses ``level``.
 
     Masked cells are treated as outside every level: a cell with any
-    masked or non-finite corner contributes no segments, so every vertex
-    is finite. A level the field never crosses yields an empty polyline
-    list, not an error.
+    masked corner contributes no segments. Every unmasked value is finite,
+    so every vertex is. A level the field never crosses yields an empty
+    polyline list, not an error.
     """
     _require_type(grid, MeasureGrid, "grid")
     level = _require_finite(level, "level")
@@ -679,8 +686,7 @@ def render_svg(grids, spec: GridSpec) -> str:
 
 
 def _json_float(x) -> str:
-    """``x`` as ``json.dumps(float(format(x, ".12g")))``; a non-finite value
-    raises :class:`RenderError`.
+    """``x``, a finite float, as ``json.dumps(float(format(x, ".12g")))``.
 
     A ``.12g`` text with a point and no exponent is already the shortest
     repr of the rounded value. The other texts (integral values, ``-0``,
@@ -690,10 +696,7 @@ def _json_float(x) -> str:
     text = "%.12g" % x
     if "." in text and "e" not in text:
         return text
-    value = float(text)
-    if not math.isfinite(value):
-        raise RenderError(f"cannot export the non-finite value {text} as JSON")
-    return repr(value)
+    return repr(float(text))
 
 
 def _json_array(texts: list[str], indent: int) -> str:
@@ -919,8 +922,9 @@ def grids_to_json(grids, spec: GridSpec) -> str:
     """Nested JSON export: spec echo plus per-panel axis and value arrays.
 
     Floats are rounded to 12 significant digits; masked cells are null.
-    The layout is that of ``json.dumps(document, indent=2)``, and a
-    non-finite value raises :class:`RenderError`, so the text is valid JSON.
+    The layout is that of ``json.dumps(document, indent=2)``. ``GridSpec``
+    and ``MeasureGrid`` hold no non-finite value that is written, so the
+    text is valid JSON.
     """
     prevalences = _json_array([_json_float(v) for v in spec.prevalences], 4)
     levels = _json_array([_json_float(v) for v in spec.contour_levels], 4)

@@ -817,6 +817,9 @@ def _check_exit_zero_results(argv, envelope):
                 assert meets_solver_contract(f, p0, target, rr, tolerance)
         else:
             assert ulps_off(verification["par"], exact_par(f, rr)) <= 4
+            # the printed rr against the exact inversion of PAR at the typed target
+            tp = Fraction(float(flags["target-par"]))
+            assert ulps_off(rr, 1 + tp / (Fraction(f) * (1 - tp))) <= 4, (f, tp)
     elif argv[0] == "simulate":
         inputs, results = envelope["inputs"], envelope["results"]
         f, p0, rr = inputs["f"], inputs["p0"], inputs["rr"]

@@ -2,10 +2,11 @@
 
 ``compute`` and ``solve`` are pure-Python closed forms, so neither the
 package nor the CLI imports ``binaryrisk.cohort``, ``binaryrisk.sweep`` or
-numpy until a caller needs them. Likewise the CLI builds its argparse
-parser on the first ``main()`` call, not at import, and only once. The
-import-state checks run in a fresh interpreter, because this test process
-has imported numpy already.
+numpy until a caller needs them, and neither loads ``dataclasses`` or
+``inspect``, which cost more to import than the CLI itself. Likewise the
+CLI builds its argparse parser on the first ``main()`` call, not at import,
+and only once. The import-state checks run in a fresh interpreter, because
+this test process has imported numpy already.
 """
 
 import json
@@ -18,6 +19,9 @@ import binaryrisk
 from binaryrisk import cli, cohort, errors, measures, sweep
 
 HEAVY = ("numpy", "binaryrisk.cohort", "binaryrisk.sweep")
+# Loaded by ``dataclasses`` (with ``ast``, ``dis`` and ``tokenize``), whose
+# import cost more than the CLI's own; only ``cohort`` and ``sweep`` use it.
+START_UP_WEIGHT = ("dataclasses", "inspect")
 
 PUBLIC_NAMES = [
     "__version__",
@@ -55,15 +59,17 @@ PUBLIC_NAMES = [
 ]
 
 # Runs each step in a fresh interpreter and prints, per step, its exit
-# code and which of HEAVY are loaded after it.
+# code and which of HEAVY and of START_UP_WEIGHT are loaded after it.
 LIGHT_PATH_SCRIPT = """
 import contextlib, io, json, sys
 
 HEAVY = {heavy!r}
+START_UP_WEIGHT = {weight!r}
 steps = []
 
 def record(step, code=None):
-    steps.append([step, code, [m for m in HEAVY if m in sys.modules]])
+    loaded = [m for m in HEAVY if m in sys.modules]
+    steps.append([step, code, loaded, [m for m in START_UP_WEIGHT if m in sys.modules]])
 
 import binaryrisk
 record("import binaryrisk")
@@ -97,14 +103,17 @@ def _run_fresh(code: str, cwd) -> str:
 
 
 def test_compute_and_solve_never_load_numpy(tmp_path):
-    script = LIGHT_PATH_SCRIPT.format(heavy=HEAVY, argvs=LIGHT + HEAVY_COMMANDS)
+    script = LIGHT_PATH_SCRIPT.format(
+        heavy=HEAVY, weight=START_UP_WEIGHT, argvs=LIGHT + HEAVY_COMMANDS
+    )
     steps = json.loads(_run_fresh(script, tmp_path))
     light, heavy = steps[: 2 + len(LIGHT)], steps[2 + len(LIGHT):]
-    for step, code, loaded in light:
+    for step, code, loaded, weight in light:
         assert code in (None, 0), step
         assert loaded == [], step
+        assert weight == [], step
     # the numpy-backed commands still work in the same process
-    assert [code for _, code, _ in heavy] == [0, 0, 0]
+    assert [code for _, code, _, _ in heavy] == [0, 0, 0]
     assert heavy[-1][2] == list(HEAVY)
     assert (tmp_path / "grids.json").exists()
     assert (tmp_path / "figure.svg").exists()

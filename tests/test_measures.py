@@ -1,8 +1,12 @@
+import copy
+import inspect
 import math
+import pickle
 import random
 import statistics
 import sys
 from collections import Counter
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 import numpy as np
@@ -13,6 +17,7 @@ from hypothesis import strategies as st
 from binaryrisk import (
     BinaryRiskError,
     DegenerateScenarioError,
+    DerivedMeasures,
     InvalidParamsError,
     PopulationParams,
     SimulationSpec,
@@ -107,6 +112,121 @@ class TestPopulationParams:
     def test_non_number_rejected(self, bad):
         with pytest.raises(InvalidParamsError, match=f"f must be a real number, got {bad!r}"):
             PopulationParams(f=bad, p0=0.1, rr=1.5)
+
+
+# Frozen dataclasses declared as the two records were: the oracle for their
+# behaviour. The twin of PopulationParams sets p1 without validating.
+@dataclass(frozen=True)
+class ParamsTwin:
+    f: float
+    p0: float
+    rr: float
+    p1: float = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "p1", self.rr * self.p0)
+
+
+@dataclass(frozen=True)
+class MeasuresTwin:
+    p1: float
+    f_cases: float
+    f_controls: float
+    par: float
+    c_index: float
+
+
+RECORD_ARGS = [
+    (PopulationParams, ParamsTwin, (0.2, 0.1, 1.5)),
+    (DerivedMeasures, MeasuresTwin, (0.15, F_CASES_02, F_CONTROLS_02, PAR_02, C_INDEX_02)),
+]
+
+
+@pytest.mark.parametrize(
+    "record, twin, args", RECORD_ARGS, ids=["PopulationParams", "DerivedMeasures"]
+)
+class TestRecordsBehaveAsDataclasses:
+    """The two records keep the observable behaviour of their dataclass twins."""
+
+    @staticmethod
+    def _init_parameters(cls):
+        return [(p.name, p.kind, p.default) for p in inspect.signature(cls).parameters.values()]
+
+    def test_construction_by_position_and_keyword(self, record, twin, args):
+        assert self._init_parameters(record) == self._init_parameters(twin)
+        assert record.__match_args__ == twin.__match_args__
+        keywords = dict(zip(record.__match_args__, args))
+        assert record(*args) == record(**keywords)
+        assert vars(record(*args)) == vars(record(**keywords))
+        with pytest.raises(TypeError):
+            record(*args, 0.5)
+        with pytest.raises(TypeError):
+            record(**keywords, extra=0.5)
+
+    def test_repr_hash_and_vars_order(self, record, twin, args):
+        made, mirror = record(*args), twin(*args)
+        assert repr(made) == repr(mirror).replace(twin.__name__, record.__name__)
+        assert hash(made) == hash(mirror)
+        assert list(vars(made).items()) == list(vars(mirror).items())
+
+    def test_equality(self, record, twin, args):
+        changed = (args[0] / 2, *args[1:])
+        # equal values in a subclass: equality is by class, not by isinstance
+        subclass, twin_subclass = type("Sub", (record,), {}), type("Sub", (twin,), {})
+        pairs = [
+            (record(*args), record(*args), twin(*args), twin(*args)),
+            (record(*args), record(*changed), twin(*args), twin(*changed)),
+            (record(*args), subclass(*args), twin(*args), twin_subclass(*args)),
+            (record(*args), twin(*args), twin(*args), record(*args)),
+            (record(*args), args, twin(*args), args),
+            (record(*args), None, twin(*args), None),
+        ]
+        for made, other, mirror, mirror_other in pairs:
+            assert (made == other) is (mirror == mirror_other)
+            assert (made != other) is (mirror != mirror_other)
+        other_record, other_twin = (
+            (DerivedMeasures(0.1, 0.2, 0.3, 0.4, 0.5), MeasuresTwin(0.1, 0.2, 0.3, 0.4, 0.5))
+            if record is PopulationParams
+            else (PopulationParams(0.2, 0.1, 1.5), ParamsTwin(0.2, 0.1, 1.5))
+        )
+        assert (record(*args) == other_record) is (twin(*args) == other_twin) is False
+
+    def test_assignment_and_deletion_raise(self, record, twin, args):
+        for cls in (record, twin):
+            made = cls(*args)
+            before = dict(vars(made))
+            for name in (*cls.__match_args__, "p1", "new_name"):
+                with pytest.raises(AttributeError):
+                    setattr(made, name, 0.5)
+                with pytest.raises(AttributeError):
+                    delattr(made, name)
+            assert vars(made) == before
+
+    def test_pickle_and_deepcopy_round_trips(self, record, twin, args):
+        for cls in (record, twin):
+            made = cls(*args)
+            copies = [copy.deepcopy(made), copy.copy(made)] + [
+                pickle.loads(pickle.dumps(made, protocol))
+                for protocol in range(pickle.HIGHEST_PROTOCOL + 1)
+            ]
+            for clone in copies:
+                assert type(clone) is cls
+                assert clone == made
+                assert list(vars(clone).items()) == list(vars(made).items())
+                with pytest.raises(AttributeError):
+                    clone.p1 = 0.5
+
+
+def test_hidden_p1_is_neither_compared_nor_shown():
+    made, mirror = PopulationParams(0.2, 0.1, 1.5), ParamsTwin(0.2, 0.1, 1.5)
+    moved, moved_mirror = PopulationParams(0.2, 0.1, 1.5), ParamsTwin(0.2, 0.1, 1.5)
+    object.__setattr__(moved, "p1", 0.5)
+    object.__setattr__(moved_mirror, "p1", 0.5)
+    assert (made == moved) is (mirror == moved_mirror) is True
+    assert (made != moved) is (mirror != moved_mirror) is False
+    assert hash(made) == hash(moved) == hash(moved_mirror)
+    assert repr(moved) == repr(made) == "PopulationParams(f=0.2, p0=0.1, rr=1.5)"
+    assert repr(moved_mirror) == "ParamsTwin(f=0.2, p0=0.1, rr=1.5)"
 
 
 class TestIncidenceExposed:

@@ -747,17 +747,19 @@ class TestContourByteIdentity:
     def test_all_levels_pass_equals_reference(self, case, default_grids, wide_grid, data):
         grid = {"default": default_grids[1], "wide": wide_grid}.get(case)
         if grid is None:
+            # non-finite cells exist only under the mask
             values = default_grids[2].c_values.copy()
             values[40, 60], values[100, 10], values[150, 150] = math.nan, math.inf, -math.inf
-            grid = dataclasses.replace(default_grids[2], c_values=values)
-        # the reference keeps out only masked cells
-        reference_grid = dataclasses.replace(grid, mask=grid.mask | ~np.isfinite(grid.c_values))
+            with pytest.raises(InvalidParamsError, match="c_values must be finite"):
+                dataclasses.replace(default_grids[2], c_values=values)
+            mask = default_grids[2].mask | ~np.isfinite(values)
+            grid = dataclasses.replace(default_grids[2], c_values=values, mask=mask)
         levels = data.draw(_level_lists(grid.c_values))
         polylines = _per_level(grid, levels)
         assert len(polylines) == len(levels)
         for level, vertices in zip(levels, polylines):
             contour = _level_contour(level, vertices)
-            assert _packed(contour) == _packed(_reference_extract_contours(reference_grid, level))
+            assert _packed(contour) == _packed(_reference_extract_contours(grid, level))
 
     # unsorted, repeated and signed-zero levels share one vertex array
     @settings(derandomize=True, max_examples=100, deadline=None)
@@ -797,18 +799,23 @@ class TestContourByteIdentity:
 
 
 class TestNonFiniteCorners:
+    """A non-finite cell is rejected unless masked; masked, it is skipped."""
+
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_cell_with_non_finite_corner_is_skipped(self, bad):
         values = np.add.outer(np.linspace(0.0, 1.0, 4), np.linspace(0.0, 1.0, 4))
         values[1, 2] = bad
-        contour = extract_contours(_synthetic_grid(values), 1.0)
+        with pytest.raises(InvalidParamsError, match="c_values must be finite outside the mask"):
+            _synthetic_grid(values)
+        contour = extract_contours(_synthetic_grid(values, ~np.isfinite(values)), 1.0)
         assert contour.polylines
         assert all(math.isfinite(v) for point in _vertices(contour) for v in point)
-        assert contour == extract_contours(_synthetic_grid(values, ~np.isfinite(values)), 1.0)
 
     def test_svg_has_no_nan(self):
         values = np.add.outer(np.linspace(0.0, 1.0, 4), np.linspace(0.0, 1.0, 4))
         values[1, 2] = math.nan
+        with pytest.raises(InvalidParamsError, match="c_values must be finite outside the mask"):
+            _synthetic_grid(values)
         spec = GridSpec(
             prevalences=(0.2,),
             p0_min=0.1,
@@ -818,7 +825,7 @@ class TestNonFiniteCorners:
             resolution=4,
             contour_levels=(0.5, 1.0, 1.5),
         )
-        svg = render_svg([_synthetic_grid(values)], spec)
+        svg = render_svg([_synthetic_grid(values, np.isnan(values))], spec)
         assert 'class="contour"' in svg
         assert "nan" not in svg
 
@@ -1187,13 +1194,18 @@ class TestExportByteIdentity:
         ids=[str(bad) for bad in _NON_FINITE] + [f"par_axis-{bad}" for bad in _NON_FINITE],
     )
     def test_json_rejects_unmasked_non_finite_cell(self, where, bad):
-        # MeasureGrid checks only p0_axis and rr_axis for finiteness
+        # no grid holds a value that JSON cannot write: building one fails
         values = np.full((3, 3), 0.6)
         par_axis = np.zeros(3)
         (values[1] if where == "cell" else par_axis)[2] = bad
-        grid = dataclasses.replace(_synthetic_grid(values), par_axis=par_axis)
-        with pytest.raises(RenderError):
-            grids_to_json([grid], GridSpec(prevalences=(0.2,)))
+        name = "c_values" if where == "cell" else "par_axis"
+        with pytest.raises(InvalidParamsError, match=f"^{name} must be finite"):
+            dataclasses.replace(_synthetic_grid(values), par_axis=par_axis)
+        # under the mask a non-finite cell is written as null
+        if where == "cell":
+            masked = _synthetic_grid(values, ~np.isfinite(values))
+            document = json.loads(grids_to_json([masked], GridSpec(prevalences=(0.2,))))
+            assert document["grids"][0]["c_values"][1] == [0.6, 0.6, None]
 
 
 def _format12_mismatches(values):
