@@ -68,8 +68,8 @@ START_UP_WEIGHT = {weight!r}
 steps = []
 
 def record(step, code=None):
-    loaded = [m for m in HEAVY if m in sys.modules]
-    steps.append([step, code, loaded, [m for m in START_UP_WEIGHT if m in sys.modules]])
+    loaded = [[m for m in names if m in sys.modules] for names in (HEAVY, START_UP_WEIGHT)]
+    steps.append([step, code, *loaded])
 
 import binaryrisk
 record("import binaryrisk")
