@@ -95,10 +95,7 @@ class SimulationSpec:
             self.n_subjects, "n_subjects", minimum=1, maximum=sys.maxsize // 8
         )
         object.__setattr__(self, "n_subjects", n_subjects)
-        seed = _require_count(self.seed, "seed")
-        if seed > _SEED_MAX:
-            raise InvalidParamsError(f"seed must fit in 64 bits, got {seed}")
-        object.__setattr__(self, "seed", seed)
+        object.__setattr__(self, "seed", _require_count(self.seed, "seed", maximum=_SEED_MAX))
 
 
 def simulate_cohort(spec: SimulationSpec) -> CohortCounts:

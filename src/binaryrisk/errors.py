@@ -5,7 +5,6 @@ __all__ = [
     "InvalidParamsError",
     "DegenerateScenarioError",
     "TargetUnreachableError",
-    "RenderError",
 ]
 
 
@@ -23,7 +22,3 @@ class DegenerateScenarioError(BinaryRiskError, ValueError):
 
 class TargetUnreachableError(BinaryRiskError, ValueError):
     """An inverse solve asked for a value outside the achievable range."""
-
-
-class RenderError(BinaryRiskError, ValueError):
-    """Figure rendering was asked to draw something unrenderable."""

@@ -11,8 +11,8 @@ Contours come from marching squares with linear interpolation along cell
 edges. The field is strictly monotone in both directions wherever rr > 1,
 so the only ambiguity, the two saddle cases, is settled by the sign of
 the cell-centre mean. Cells touching a masked corner emit nothing, and
-every unmasked value is finite (see MeasureGrid), so no vertex is NaN or
-infinite. All levels of a grid come from one span-space pass: one
+MeasureGrid's bounds on unmasked values and axis spreads keep every
+vertex finite. All levels of a grid come from one span-space pass: one
 ``searchsorted`` ranks every lattice value against the sorted levels,
 and the lowest and highest corner ranks of each valid cell bound the
 levels it crosses, so the work grows with the crossings rather than with
@@ -51,7 +51,7 @@ from functools import cache, partial
 
 import numpy as np
 
-from .errors import InvalidParamsError, RenderError
+from .errors import InvalidParamsError
 from .measures import (
     _measure_kernel, _par, _require_count, _require_finite, _require_positive, _require_prob,
     _require_type,
@@ -117,9 +117,11 @@ class MeasureGrid:
 
     ``c_values`` is indexed [rr, p0]; masked cells (rr * p0 > 1) hold NaN.
     ``par_axis`` pairs each rr with its attributable risk at this
-    prevalence. Every axis entry and every unmasked cell must be finite, so
-    a grid that exists exports and draws only finite numbers. The arrays
-    are not copied: a change made to them in place is not checked.
+    prevalence. Axis entries must be finite, the p0 and rr axes of finite
+    spread, and unmasked cells at most 2**1021 in magnitude, so that every
+    number a grid exports, draws or sums is finite. The arrays are held as
+    read-only views: a write through the grid raises ValueError. An array
+    passed in is not copied.
     """
 
     prevalence: float
@@ -131,14 +133,21 @@ class MeasureGrid:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "prevalence", _require_prob(self.prevalence, "prevalence", open_interval=True))
+        for name in ("p0_axis", "rr_axis", "par_axis", "c_values", "mask"):
+            array = np.asarray(getattr(self, name), bool if name == "mask" else float).view()
+            array.flags.writeable = False
+            object.__setattr__(self, name, array)
         for name in ("p0_axis", "rr_axis", "par_axis"):
-            axis = np.asarray(getattr(self, name), dtype=float)
+            axis = getattr(self, name)
             bad = axis[~np.isfinite(axis)]
             if bad.size:
                 raise InvalidParamsError(f"{name} must be finite, got {bad[0]}")
-            object.__setattr__(self, name, axis)
-        object.__setattr__(self, "c_values", np.asarray(self.c_values, dtype=float))
-        object.__setattr__(self, "mask", np.asarray(self.mask, dtype=bool))
+        for name, axis in (("p0_axis", self.p0_axis), ("rr_axis", self.rr_axis)):
+            # on Python floats an overflow gives inf, with no numpy warning
+            if axis.size and not math.isfinite(float(axis.max()) - float(axis.min())):
+                raise InvalidParamsError(
+                    f"{name} must have a finite spread, got {axis.min()} to {axis.max()}"
+                )
         shape = (self.rr_axis.size, self.p0_axis.size)
         for name in ("c_values", "mask"):
             if getattr(self, name).shape != shape:
@@ -150,11 +159,12 @@ class MeasureGrid:
                 f"par_axis must pair one value with each rr entry "
                 f"({self.rr_axis.size}), got shape {self.par_axis.shape}"
             )
-        kept = np.isfinite(self.c_values)
+        kept = np.abs(self.c_values) <= 2.0**1021
         kept |= self.mask
         if not kept.all():
             raise InvalidParamsError(
-                f"c_values must be finite outside the mask, got {self.c_values[~kept][0]}"
+                f"c_values must be finite outside the mask and at most 2**1021 in "
+                f"magnitude, got {self.c_values[~kept][0]}"
             )
 
 
@@ -315,11 +325,9 @@ def _contour_polylines(
     col = cols[cell, None]
     ia, ja = row + ends[:, :, 0], col + ends[:, :, 1]
     ib, jb = row + ends[:, :, 2], col + ends[:, :, 3]
+    # an edge crossed has one end above the level, one at or below: 0 <= t <= 1
     va = values[ia, ja]
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        t = (level[cell, None] - va) / (values[ib, jb] - va)
-    # np.clip could turn a -0.0 into 0.0; the comparisons keep it.
-    t = np.where(t < 0.0, 0.0, np.where(t > 1.0, 1.0, t))
+    t = (level[cell, None] - va) / (values[ib, jb] - va)
     p0_axis, rr_axis = grid.p0_axis, grid.rr_axis
     x = p0_axis[ja] + t * (p0_axis[jb] - p0_axis[ja])
     y = rr_axis[ia] + t * (rr_axis[ib] - rr_axis[ia])
@@ -487,8 +495,8 @@ def extract_contours(grid: MeasureGrid, level) -> ContourSet:
     """Polylines where the c-index field crosses ``level``.
 
     Masked cells are treated as outside every level: a cell with any
-    masked corner contributes no segments. Every unmasked value is finite,
-    so every vertex is. A level the field never crosses yields an empty
+    masked corner contributes no segments. MeasureGrid's bounds keep every
+    vertex finite. A level the field never crosses yields an empty
     polyline list, not an error.
     """
     _require_type(grid, MeasureGrid, "grid")
@@ -646,8 +654,6 @@ def render_svg(grids, spec: GridSpec) -> str:
     byte-identical documents.
     """
     grids = list(grids)
-    if not grids:
-        raise RenderError("no grids to render")
     _require_type(spec, GridSpec, "spec")
     if len(grids) != len(spec.prevalences):
         raise InvalidParamsError(

@@ -111,7 +111,7 @@ class TestSimulationSpec:
             (10, "7", "seed must be an integer, got '7'"),
             (10, False, "seed must be an integer, got False"),
             (10, -1, "seed must be at least 0, got -1"),
-            (10, 2**64, f"seed must fit in 64 bits, got {2**64}"),
+            (10, 2**64, f"seed must be at most {2**64 - 1}, got {2**64}"),
         ],
     )
     def test_messages(self, n, seed, message):

@@ -29,7 +29,6 @@ PUBLIC_NAMES = [
     "InvalidParamsError",
     "DegenerateScenarioError",
     "TargetUnreachableError",
-    "RenderError",
     "PopulationParams",
     "DerivedMeasures",
     "incidence_exposed",

@@ -6,6 +6,7 @@ import io
 import json
 import math
 import struct
+import sys
 import xml.etree.ElementTree as ET
 from fractions import Fraction
 
@@ -22,7 +23,6 @@ from binaryrisk import (
     InvalidParamsError,
     MeasureGrid,
     PopulationParams,
-    RenderError,
     derive_measures,
     evaluate_grid,
     extract_contours,
@@ -307,6 +307,66 @@ class TestMeasureGridValidation:
                 mask=np.zeros((4, 5), dtype=bool),
                 **axes,
             )
+
+
+_TOP = 2.0**1021  # the largest unmasked c-value a MeasureGrid accepts
+
+
+class TestGridBounds:
+    """``MeasureGrid`` is the one check on a grid's numbers: a grid that
+    passes it keeps every contour sum, difference and vertex finite, and
+    no write through the grid can undo the check."""
+
+    @staticmethod
+    def _grid(p0_axis, c_values):
+        return MeasureGrid(0.2, p0_axis, [1.0, 2.0], c_values, [0.0, 0.1], np.zeros((2, 2), bool))
+
+    @pytest.mark.parametrize(
+        "p0_axis, c_values, message",
+        [
+            # a crossing's difference would overflow: NaN vertices
+            ([0.1, 0.2], [[-1.5e308, 1.5e308]] * 2, "c_values must be finite outside the mask"),
+            # the saddle test's centre sum would overflow
+            ([0.1, 0.2], [[1e308, 1e308], [1e308, 1.5e308]], "c_values must be finite outside"),
+            # the interpolation along p0 would overflow: infinite vertices
+            ([-1.5e308, 1.5e308], [[0.0, 1.0]] * 2, "p0_axis must have a finite spread"),
+        ],
+    )
+    def test_overflowing_grid_rejected(self, p0_axis, c_values, message):
+        with pytest.raises(InvalidParamsError, match=message):
+            self._grid(p0_axis, c_values)
+
+    @pytest.mark.parametrize(
+        "c_values, level",
+        [
+            # a saddle whose edges span 2**1022
+            ([[_TOP, -_TOP], [-_TOP, _TOP]], -(2.0**1020)),
+            ([[_TOP, -_TOP], [-_TOP, _TOP]], 0.0),
+            # corners that sum to nearly 2**1023
+            ([[_TOP, _TOP], [_TOP, 0.75 * _TOP]], 0.875 * _TOP),
+        ],
+    )
+    def test_grid_at_the_bounds_draws_finite_vertices(self, c_values, level):
+        # the largest magnitudes and p0 spread that pass
+        half = sys.float_info.max / 2
+        vertices = _vertices(extract_contours(self._grid([-half, half], c_values), level))
+        assert vertices and all(math.isfinite(v) for point in vertices for v in point)
+
+    @pytest.mark.parametrize("name", ["p0_axis", "rr_axis", "par_axis", "c_values", "mask"])
+    def test_arrays_are_read_only(self, name):
+        spec = GridSpec(prevalences=(0.2,), resolution=3)
+        grid = evaluate_grid(spec, 0.2)
+        before = grids_to_json([grid], spec)
+        with pytest.raises(ValueError, match="read-only"):
+            getattr(grid, name)[1] = math.nan if name == "c_values" else math.inf
+        assert grids_to_json([grid], spec) == before
+
+    def test_arrays_passed_in_are_not_copied(self):
+        values = np.zeros((2, 2))
+        grid = self._grid([0.1, 0.2], values)
+        assert np.shares_memory(grid.c_values, values)
+        values[0, 0] = 1.0
+        assert values.flags.writeable and grid.c_values[0, 0] == 1.0
 
 
 def _vertices(contour_set):
@@ -929,7 +989,7 @@ class TestRenderSvg:
         assert "url(" not in svg
 
     def test_empty_grid_list_rejected(self, default_spec):
-        with pytest.raises(RenderError):
+        with pytest.raises(InvalidParamsError, match=r"prevalence panel \(3\), got 0$"):
             render_svg([], default_spec)
 
     def test_panel_count_mismatch_rejected(self, default_spec, default_grids):
