@@ -124,14 +124,14 @@ def _json_text(value, indent: str = "\n") -> str:
     raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
 
 
-def _emit(args, results: dict, warnings=()) -> None:
+def _emit(args, results: dict, warnings: list) -> None:
     envelope = {
         "schema_version": SCHEMA_VERSION,
         "command": args.command,
         # the shared flags close every command's inputs
         "inputs": {**_command_flags(args), "format": args.format, "out": args.out},
         "results": results,
-        "warnings": list(warnings),
+        "warnings": warnings,
     }
     # encode in full before writing, so a failure leaves stdout empty
     sys.stdout.write(_json_text(envelope) + "\n")
@@ -180,14 +180,13 @@ def _write_record_payload(args, record: dict) -> dict:
     return {**record, "files": [args.out]}
 
 
-def _cmd_compute(args) -> int:
+def _cmd_compute(args) -> tuple[dict, list]:
     measures = derive_measures(PopulationParams(f=args.f, p0=args.p0, rr=args.rr))
     # the record is flat and read only: vars() gives its fields in field order
-    _emit(args, _write_record_payload(args, vars(measures)))
-    return EXIT_OK
+    return _write_record_payload(args, vars(measures)), []
 
 
-def _cmd_solve(args) -> int:
+def _cmd_solve(args) -> tuple[dict, list]:
     has_par = args.target_par is not None
     has_c = args.target_c is not None
     if has_par == has_c:
@@ -211,12 +210,10 @@ def _cmd_solve(args) -> int:
         rr = rr_for_target_c(args.f, args.p0, args.target_c, **tolerance)
         forward = derive_measures(PopulationParams(f=args.f, p0=args.p0, rr=rr))
         verification = {"c_index": forward.c_index}
-    results = {"rr": rr, "verification": verification}
-    _emit(args, _write_record_payload(args, results), warnings)
-    return EXIT_OK
+    return _write_record_payload(args, {"rr": rr, "verification": verification}), warnings
 
 
-def _cmd_simulate(args) -> int:
+def _cmd_simulate(args) -> tuple[dict, list]:
     _bind("cohort")
     params = PopulationParams(f=args.f, p0=args.p0, rr=args.rr)
     spec = SimulationSpec(params=params, n_subjects=args.n, seed=args.seed)
@@ -238,12 +235,11 @@ def _cmd_simulate(args) -> int:
             key: empirical_payload[key] - closed_payload[key] for key in closed_payload
         },
     }
-    _emit(args, _write_record_payload(args, results))
-    return EXIT_OK
+    return _write_record_payload(args, results), []
 
 
-def _grid_command(args, default_out: str, render, warnings=()) -> int:
-    """Evaluate the panels of sweep/plot, write ``render(grids, spec)``, emit the summaries."""
+def _grid_command(args, default_out: str, render) -> dict:
+    """Evaluate the panels of sweep/plot, write ``render(grids, spec)``, return the summaries."""
     spec = GridSpec(**{
         "contour_levels" if key == "levels" else key: value
         for key, value in _command_flags(args).items()
@@ -268,23 +264,22 @@ def _grid_command(args, default_out: str, render, warnings=()) -> int:
         }
         for grid in grids
     ]
-    _emit(args, {"files": [out], "panels": panels}, warnings)
-    return EXIT_OK
+    return {"files": [out], "panels": panels}
 
 
-def _cmd_sweep(args) -> int:
+def _cmd_sweep(args) -> tuple[dict, list]:
     _bind("sweep")
     if args.format == "csv":
-        return _grid_command(args, "grids.csv", lambda grids, spec: grids_to_csv(grids))
-    return _grid_command(args, "grids.json", grids_to_json)
+        return _grid_command(args, "grids.csv", lambda grids, spec: grids_to_csv(grids)), []
+    return _grid_command(args, "grids.json", grids_to_json), []
 
 
-def _cmd_plot(args) -> int:
+def _cmd_plot(args) -> tuple[dict, list]:
     _bind("sweep")
     warnings = []
     if args.format == "csv":
         warnings.append("the plot payload is SVG; --format is ignored")
-    return _grid_command(args, "figure.svg", render_svg, warnings)
+    return _grid_command(args, "figure.svg", render_svg), warnings
 
 
 def _float_tuple(text: str) -> tuple[float, ...]:
@@ -491,7 +486,7 @@ def main(argv=None) -> int:
         code = exc.code
         return code if isinstance(code, int) else EXIT_INPUT
     try:
-        return args.handler(args)
+        _emit(args, *args.handler(args))
     except BinaryRiskError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
@@ -505,6 +500,7 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_IO
+    return EXIT_OK
 
 
 if __name__ == "__main__":

@@ -29,8 +29,8 @@ above the float floor, so a skipped evaluation could never have raised.
 
 All computation is plain 64-bit floating point. Every input check of the
 package goes through one helper per kind of check, all defined here
-(``_require_type``, ``_require_finite``, ``_require_prob``,
-``_require_positive``, ``_require_count``). A
+(``_require_type``, ``_require_iterable``, ``_require_finite``,
+``_require_prob``, ``_require_positive``, ``_require_count``). A
 :class:`PopulationParams` that exists is always a realizable population;
 the public scalar helpers check their own arguments, as they take user input.
 
@@ -75,6 +75,16 @@ __all__ = [
 def _require_type(value, kind: type, name: str) -> None:
     if not isinstance(value, kind):
         raise InvalidParamsError(f"{name} must be a {kind.__name__}, got {type(value).__name__}")
+
+
+def _require_iterable(value, name: str):
+    """``iter(value)``; a ``str`` or ``bytes`` is one value, not a list of them."""
+    if not isinstance(value, (str, bytes)):
+        try:
+            return iter(value)
+        except TypeError:
+            pass
+    raise InvalidParamsError(f"{name} must be an iterable of numbers, got {value!r}")
 
 
 def _require_finite(value, name: str) -> float:

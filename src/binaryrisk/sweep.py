@@ -53,8 +53,8 @@ import numpy as np
 
 from .errors import InvalidParamsError
 from .measures import (
-    _measure_kernel, _par, _require_count, _require_finite, _require_positive, _require_prob,
-    _require_type,
+    _measure_kernel, _par, _require_count, _require_finite, _require_iterable, _require_positive,
+    _require_prob, _require_type,
 )
 
 __all__ = [
@@ -88,7 +88,8 @@ class GridSpec:
 
     def __post_init__(self) -> None:
         prevalences = tuple(
-            _require_prob(v, "prevalence", open_interval=True) for v in self.prevalences
+            _require_prob(v, "prevalence", open_interval=True)
+            for v in _require_iterable(self.prevalences, "prevalences")
         )
         if not prevalences:
             raise InvalidParamsError("at least one prevalence panel is required")
@@ -107,7 +108,10 @@ class GridSpec:
             self.resolution, "resolution", minimum=2, maximum=math.isqrt(sys.maxsize // 8)
         )
         object.__setattr__(self, "resolution", resolution)
-        levels = tuple(_require_finite(v, "contour_level") for v in self.contour_levels)
+        levels = tuple(
+            _require_finite(v, "contour_level")
+            for v in _require_iterable(self.contour_levels, "contour_levels")
+        )
         object.__setattr__(self, "contour_levels", levels)
 
 
@@ -117,11 +121,11 @@ class MeasureGrid:
 
     ``c_values`` is indexed [rr, p0]; masked cells (rr * p0 > 1) hold NaN.
     ``par_axis`` pairs each rr with its attributable risk at this
-    prevalence. Axis entries must be finite, the p0 and rr axes of finite
-    spread, and unmasked cells at most 2**1021 in magnitude, so that every
-    number a grid exports, draws or sums is finite. The arrays are held as
-    read-only views: a write through the grid raises ValueError. An array
-    passed in is not copied.
+    prevalence. The axes must be one-dimensional with finite entries, the
+    p0 and rr axes of finite spread, and unmasked cells at most 2**1021 in
+    magnitude, so that every number a grid exports, draws or sums is
+    finite. The arrays are held as read-only views: a write through the
+    grid raises ValueError. An array passed in is not copied.
     """
 
     prevalence: float
@@ -139,12 +143,14 @@ class MeasureGrid:
             object.__setattr__(self, name, array)
         for name in ("p0_axis", "rr_axis", "par_axis"):
             axis = getattr(self, name)
+            if axis.ndim != 1:
+                raise InvalidParamsError(f"{name} must be one-dimensional, got shape {axis.shape}")
             bad = axis[~np.isfinite(axis)]
             if bad.size:
                 raise InvalidParamsError(f"{name} must be finite, got {bad[0]}")
-        for name, axis in (("p0_axis", self.p0_axis), ("rr_axis", self.rr_axis)):
             # on Python floats an overflow gives inf, with no numpy warning
-            if axis.size and not math.isfinite(float(axis.max()) - float(axis.min())):
+            spread = float(axis.max()) - float(axis.min()) if axis.size else 0.0
+            if name != "par_axis" and not math.isfinite(spread):
                 raise InvalidParamsError(
                     f"{name} must have a finite spread, got {axis.min()} to {axis.max()}"
                 )
@@ -736,18 +742,23 @@ def _digit_words() -> tuple[np.ndarray, np.ndarray]:
     return pairs.astype("<u2"), np.concatenate([words.ravel() for words in quads]).astype("<u4")
 
 
-def _nearest(values: np.ndarray, scale: float) -> tuple[np.ndarray, np.ndarray]:
-    """``(q, exact)``: q = rint(fl(v * scale)), and where q is the integer nearest v * scale.
+def _nearest(
+    values: np.ndarray, fast: np.ndarray, scale: float, limit: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """``(n, fast)``: ``fast`` kept where q = rint(fl(v * scale)) is below ``limit``
+    and is the integer nearest v * scale, and n = q there as int64, else 0.
 
-    For 0 <= v * scale < 2**52 every half-integer is a float and rounding
-    is monotone, so fl(v * scale) lies on the same side of each
-    half-integer as the exact product, or on it. Unless fl(v * scale) is
-    itself a half-integer, its nearest integer is therefore that of the
-    exact product.
+    Values outside ``fast`` are set to 0 before any arithmetic, so NaN and
+    infinities raise no warning. For 0 <= v * scale < 2**52 every
+    half-integer is a float and rounding is monotone, so fl(v * scale) lies
+    on the same side of each half-integer as the exact product, or on it.
+    Unless it is itself a half-integer, its nearest integer is therefore
+    that of the exact product.
     """
-    p = values * scale
+    p = np.where(fast, values, 0.0) * scale
     q = np.rint(p)
-    return q, np.abs(p - q) != 0.5
+    fast = fast & (q < limit) & (np.abs(p - q) != 0.5)
+    return np.where(fast, q, 0.0).astype(np.int64), fast
 
 
 def _format12(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -756,15 +767,10 @@ def _format12(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     ``fast`` marks the values in [0.1, 1) whose 12-digit rounding stays
     below 1 and whose product p = fl(v * 1e12) is no half-integer (see
     :func:`_nearest`), as for all but about one cell in 10 000 of a
-    lattice; elsewhere ``texts`` is meaningless. Values outside [0.1, 1)
-    are replaced before any arithmetic, so NaN and infinities raise no
-    warning.
+    lattice; elsewhere ``texts`` is meaningless.
     """
     values = values.ravel()
-    fast = (values >= 0.1) & (values < 1.0)
-    q, exact = _nearest(np.where(fast, values, 0.5), 1e12)
-    fast &= (q < 1e12) & exact
-    n = np.where(fast, q, 1e11).astype(np.int64)
+    n, fast = _nearest(values, (values >= 0.1) & (values < 1.0), 1e12, 1e12)
     a = n // 10**8
     low = n - a * 10**8
     b = low // 10**4
@@ -801,10 +807,8 @@ def _format2(values: np.ndarray) -> np.ndarray:
     go through Python's ``%``.
     """
     values = values.ravel()
-    fast = ~np.signbit(values) & (values < 1e4)
-    q, exact = _nearest(np.where(fast, values, 0.0), 100.0)
-    fast &= (q < 1e6) & exact
-    whole, cents = np.divmod(np.where(fast, q, 0.0).astype(np.int64), 100)
+    n, fast = _nearest(values, ~np.signbit(values) & (values < 1e4), 100.0, 1e6)
+    whole, cents = np.divmod(n, 100)
     texts = np.empty(values.size, _FIXED2)
     texts["whole"] = _whole_words()[whole]
     texts["point"] = b"."
@@ -825,25 +829,22 @@ def _with_slow(texts: np.ndarray, values: np.ndarray, slow: np.ndarray, slow_tex
 _BLOCK = 4096  # cells per block of the exporters
 
 
-def _blocks(grid: MeasureGrid):
-    """Row-major blocks of whole rows, about ``_BLOCK`` cells or one row each:
-    row slices, so what the exporters hold stays bounded."""
+def _blocks(grid: MeasureGrid, masked_text: bytes, slow_text):
+    """Row-major blocks of whole rows, about ``_BLOCK`` cells or one row each,
+    so what the exporters hold stays bounded: per block its row slice, its
+    mask and its cells' texts, an ``S`` array of its shape. A masked cell
+    reads ``masked_text``, any other ``"%.12g" % v`` from :func:`_format12`,
+    or ``slow_text(v)`` outside its fast path."""
     rows, cols = grid.c_values.shape
     step = max(1, _BLOCK // max(1, cols))
-    return (slice(i, i + step) for i in range(0, rows, step))
-
-
-def _cell_texts(values, masked, masked_text: bytes, slow_text) -> np.ndarray:
-    """Per cell of a block, its text as an ``S`` array of the block's shape.
-
-    A masked cell reads ``masked_text``, any other ``"%.12g" % v`` from
-    :func:`_format12`, or ``slow_text(v)`` outside its fast path.
-    """
-    fast, texts = _format12(values)
-    slow = np.flatnonzero(~(fast | masked.ravel()))
-    texts = _with_slow(texts, values.ravel(), slow, slow_text).reshape(values.shape)
-    texts[masked] = masked_text
-    return texts
+    for start in range(0, rows, step):
+        block = slice(start, start + step)
+        values, masked = grid.c_values[block], grid.mask[block]
+        fast, texts = _format12(values)
+        slow = np.flatnonzero(~(fast | masked.ravel()))
+        texts = _with_slow(texts, values.ravel(), slow, slow_text).reshape(values.shape)
+        texts[masked] = masked_text
+        yield block, masked, texts
 
 
 def _joined(opens, *fields) -> str:
@@ -877,13 +878,12 @@ def grids_to_csv(grids) -> str:
     """
     parts = ["f,p0,rr,par,c_index,masked\n"]
     for grid in grids:
+        _require_type(grid, MeasureGrid, "grid")
         f_text = format(grid.prevalence, ".12g")
         heads = np.array([f"{f_text},{p0:.12g}," for p0 in grid.p0_axis.tolist()], dtype="S")
         axes = zip(grid.rr_axis.tolist(), grid.par_axis.tolist())
         middles = np.array([f"{rr:.12g},{par_value:.12g}," for rr, par_value in axes], dtype="S")
-        for rows in _blocks(grid):
-            masked = grid.mask[rows]
-            texts = _cell_texts(grid.c_values[rows], masked, b"", "%.12g".__mod__)
+        for rows, masked, texts in _blocks(grid, b"", "%.12g".__mod__):
             tails = np.where(masked, b",true\n", b",false\n")
             parts.append(_joined(_NO_OPEN, heads, middles[rows, None], texts, tails))
     return "".join(parts)
@@ -910,9 +910,7 @@ def _grid_json_parts(grid: MeasureGrid, mask_texts: dict) -> list[str]:
     leads = np.full(grid.p0_axis.size, _JSON_NEXT)
     leads[0] = b""
     c_parts, mask_parts = [',\n      "c_values": '], [',\n      "mask": ']
-    for rows in _blocks(grid):
-        masked = grid.mask[rows]
-        texts = _cell_texts(grid.c_values[rows], masked, b"null", _json_float)
+    for rows, masked, texts in _blocks(grid, b"null", _json_float):
         opens = np.full(masked.shape[0], _JSON_ROW)
         if rows.start == 0:
             opens[0] = _JSON_FIRST
@@ -932,6 +930,7 @@ def grids_to_json(grids, spec: GridSpec) -> str:
     and ``MeasureGrid`` hold no non-finite value that is written, so the
     text is valid JSON.
     """
+    _require_type(spec, GridSpec, "spec")
     prevalences = _json_array([_json_float(v) for v in spec.prevalences], 4)
     levels = _json_array([_json_float(v) for v in spec.contour_levels], 4)
     parts = [
@@ -945,6 +944,7 @@ def grids_to_json(grids, spec: GridSpec) -> str:
     ]
     mask_texts, lead, close = {}, "[\n    ", "[]\n}\n"
     for grid in grids:
+        _require_type(grid, MeasureGrid, "grid")
         parts.append(lead)
         parts += _grid_json_parts(grid, mask_texts)
         lead, close = ",\n    ", "\n  ]\n}\n"

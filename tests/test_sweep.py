@@ -98,6 +98,26 @@ class TestGridSpec:
         with pytest.raises(InvalidParamsError):
             GridSpec(**kwargs)
 
+    @pytest.mark.parametrize("field", ["prevalences", "contour_levels"])
+    @pytest.mark.parametrize(
+        "value",
+        [0.5, "0.5", b"0.5", None, np.float64(0.5), np.array(0.5)],
+        ids=["float", "str", "bytes", "None", "numpy-float", "0-d-array"],
+    )
+    def test_list_field_must_be_iterable(self, field, value):
+        # a string would be read character by character
+        with pytest.raises(InvalidParamsError) as excinfo:
+            GridSpec(**{field: value})
+        assert str(excinfo.value) == f"{field} must be an iterable of numbers, got {value!r}"
+
+    @pytest.mark.parametrize(
+        "prevalences, levels",
+        [([0.5, 0.2], [0.55, 0.6]), (np.array([0.5, 0.2]), np.array([0.55, 0.6]))],
+    )
+    def test_list_fields_take_any_iterable(self, prevalences, levels):
+        spec = GridSpec(prevalences=prevalences, contour_levels=(v for v in levels))
+        assert (spec.prevalences, spec.contour_levels) == ((0.5, 0.2), (0.55, 0.6))
+
     def test_numpy_integer_resolution_is_stored_as_int(self):
         resolution = GridSpec(resolution=np.int64(5)).resolution
         assert resolution == 5
@@ -263,6 +283,12 @@ class TestEvaluateGrid:
             render_svg(default_grids, {})
         with pytest.raises(InvalidParamsError, match="^grid must be a MeasureGrid, got dict$"):
             render_svg([{}, {}, {}], default_spec)
+        with pytest.raises(InvalidParamsError, match="^grid must be a MeasureGrid, got int$"):
+            grids_to_csv([1])
+        with pytest.raises(InvalidParamsError, match="^grid must be a MeasureGrid, got int$"):
+            grids_to_json([1], default_spec)
+        with pytest.raises(InvalidParamsError, match="^spec must be a GridSpec, got str$"):
+            grids_to_json(default_grids, "x")
 
 
 class TestMeasureGridValidation:
@@ -281,6 +307,18 @@ class TestMeasureGridValidation:
                 par_axis=np.zeros(4),
                 **arrays,
             )
+
+    @pytest.mark.parametrize("axis", ["p0_axis", "rr_axis", "par_axis"])
+    @pytest.mark.parametrize("reshape", [(1, -1), (-1, 1)])
+    def test_axis_must_be_one_dimensional(self, axis, reshape):
+        # a 2-D axis of the right size would pass the shape checks, then
+        # break the exporters and the contours
+        axes = {"p0_axis": np.linspace(0.01, 0.1, 3), "rr_axis": np.linspace(1.0, 2.0, 3)}
+        axes["par_axis"] = np.zeros(3)
+        axes[axis] = axes[axis].reshape(reshape)
+        with pytest.raises(InvalidParamsError) as excinfo:
+            MeasureGrid(0.2, c_values=np.zeros((3, 3)), mask=np.zeros((3, 3), bool), **axes)
+        assert str(excinfo.value) == f"{axis} must be one-dimensional, got shape {axes[axis].shape}"
 
     def test_par_axis_length_checked(self):
         with pytest.raises(InvalidParamsError):
