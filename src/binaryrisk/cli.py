@@ -2,7 +2,11 @@
 
 Output contract: every successful run prints exactly one JSON envelope to
 stdout; diagnostics go to stderr only. Exit codes are stable: 0 success,
-2 invalid input or unreachable target, 3 filesystem failure.
+2 invalid input or unreachable target, 3 a failure of the environment:
+a file or stdout that cannot be written, a process started with stdout
+closed, or numpy missing for ``simulate``, ``sweep`` and ``plot``. A run
+that exits 2 or 3 prints nothing to stdout and one ``error:`` line to
+stderr.
 
 All probability flags take proportions in [0, 1]; percent-style values
 above 1 are rejected, never rescaled. Payload files are written through
@@ -30,6 +34,7 @@ its pure-Python encoder.
 from __future__ import annotations
 
 import argparse
+import errno
 import functools
 import math
 import sys
@@ -134,7 +139,11 @@ def _emit(args, results: dict, warnings: list) -> None:
         "warnings": warnings,
     }
     # encode in full before writing, so a failure leaves stdout empty
-    sys.stdout.write(_json_text(envelope) + "\n")
+    text = _json_text(envelope) + "\n"
+    if sys.stdout is None:
+        # a process started with fd 1 closed has no sys.stdout
+        raise OSError(errno.EBADF, "stdout is closed; the envelope cannot be written")
+    sys.stdout.write(text)
 
 
 def _flatten(record: dict, prefix: str = "") -> dict:
@@ -499,6 +508,10 @@ def main(argv=None) -> int:
         return EXIT_INPUT
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_IO
+    except ImportError as exc:
+        # simulate, sweep and plot import numpy on first use
+        print(f"error: {args.command} needs numpy, which failed to import: {exc}", file=sys.stderr)
         return EXIT_IO
     return EXIT_OK
 

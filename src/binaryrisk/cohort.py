@@ -8,17 +8,31 @@ that table is what the closed form must reproduce, and the test suite
 compares the two both exactly (on plug-in frequencies) and stochastically
 (over large simulated cohorts).
 
-Determinism contract: the generator is numpy's PCG64, seeded directly with
-the spec's seed, consuming one block of n uniforms for exposure followed
-by one block of n uniforms for disease status. Identical specs therefore
-produce identical counts on every platform, which is what lets the test
-suite pin exact golden counts.
+Determinism contract, in stream positions: subject i (0 <= i < n) is
+exposed when output i of numpy's ``PCG64(seed)`` stream, read as a
+``Generator.random`` double, falls below f, and is a case when output
+n + i falls below the threshold of its exposure group (p1 if exposed,
+p0 otherwise). That holds whichever thread reads the output. Identical
+specs therefore produce identical counts on every platform, which is
+what lets the test suite pin exact golden counts.
+
+A cohort of fewer than 2**15 subjects is drawn by one generator through
+one buffer. A larger one is drawn as two halves, [0, n // 2) and
+[n // 2, n), each by its own generator advanced to the half's two stream
+positions: the calling thread draws the first while a helper thread
+draws the second. So a process gets one daemon thread after its first
+draw of 2**15 or more subjects. A caller that finds the helper busy with
+another thread's draw, or whose CPU affinity holds one CPU, draws both
+halves itself; a forked child starts without the helper.
 """
 
 from __future__ import annotations
 
+import os
 import sys
+import threading
 from dataclasses import dataclass, fields
+from queue import SimpleQueue
 
 import numpy as np
 
@@ -98,28 +112,129 @@ class SimulationSpec:
         object.__setattr__(self, "seed", _require_count(self.seed, "seed", maximum=_SEED_MAX))
 
 
-def simulate_cohort(spec: SimulationSpec) -> CohortCounts:
-    """Draw the cohort described by ``spec`` and tabulate its 2x2 counts.
+# The smallest cohort drawn as two halves. Below it the hand-off to the
+# helper costs more than the second core saves (2-vCPU Xeon, numpy 2.4.6).
+_SPLIT_AT = 2**15
 
-    Deterministic: the same spec always yields the same counts (PCG64,
-    exposure uniforms first, disease uniforms second).
+# Held by the thread whose split draw the helper serves.
+_busy = threading.Lock()
+# The helper's job queue, None until the first split draw starts the helper.
+_jobs = None
+
+
+def _forget_helper() -> None:
+    # a forked child has no helper thread, and no other thread to free _busy
+    global _busy, _jobs
+    _busy = threading.Lock()
+    _jobs = None
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_forget_helper)
+
+
+def _cpus() -> int:
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity API on this platform
+        return os.cpu_count() or 1
+
+
+def _serve(jobs: SimpleQueue) -> None:
+    """The helper thread's loop: answer each job as it comes."""
+    while True:
+        _answer(*jobs.get())
+
+
+def _answer(reply: SimpleQueue, half: tuple) -> None:
+    # the half's buffer is freed on return, not held until the next job.
+    # Any exception goes to the caller, which raises it; caught here, it
+    # cannot end the helper and leave the caller waiting.
+    try:
+        reply.put(_tabulate(*half))
+    except BaseException as exc:
+        reply.put(exc)
+
+
+def _helper() -> SimpleQueue:
+    global _jobs
+    if _jobs is None:
+        jobs = SimpleQueue()
+        threading.Thread(
+            target=_serve, args=(jobs,), name="binaryrisk-cohort", daemon=True
+        ).start()
+        _jobs = jobs
+    return _jobs
+
+
+def _tabulate(seed, n, start, draw, f, p0, p1) -> tuple[int, int, int]:
+    """(exposed, exposed cases, unexposed cases) of subjects [start, start + m).
+
+    ``draw`` is a buffer of m floats. The exposure uniforms are stream
+    outputs start .. start + m - 1 and the disease uniforms outputs
+    n + start ..; both blocks go through ``draw``, the exposure block
+    compared before the disease block overwrites it. A subject is a case
+    when its disease uniform falls below the threshold of its exposure
+    group.
     """
-    _require_type(spec, SimulationSpec, "spec")
-    rng = np.random.Generator(np.random.PCG64(spec.seed))
-    n = spec.n_subjects
-    params = spec.params
-    # both blocks go through one buffer: the exposure block is compared
-    # before the disease block overwrites it. A subject is a case when its
-    # disease uniform falls below the threshold of its exposure group.
-    draw = np.empty(n)
-    exposed = rng.random(n, out=draw) < params.f
-    rng.random(n, out=draw)
+    m = draw.size
+    bits = np.random.PCG64(seed)
+    if start:
+        bits.advance(start)
+    rng = np.random.Generator(bits)
+    exposed = rng.random(m, out=draw) < f
+    if m < n:
+        bits.advance(n - m)
+    rng.random(m, out=draw)
     n_exposed = int(np.count_nonzero(exposed))
-    n_exposed_case = int(np.count_nonzero(exposed & (draw < params.p1)))
-    below_p0 = draw < params.p0
+    n_exposed_case = int(np.count_nonzero(exposed & (draw < p1)))
+    below_p0 = draw < p0
     n_unexposed_case = int(np.count_nonzero(below_p0)) - int(
         np.count_nonzero(exposed & below_p0)
     )
+    return n_exposed, n_exposed_case, n_unexposed_case
+
+
+def _split_draw(seed, n, f, p0, p1) -> tuple[int, int, int]:
+    """``_tabulate`` of the whole cohort, summed over its two halves."""
+    h = n // 2
+    # One allocation for both halves, made before the hand-off: an
+    # oversized cohort fails here. It is also the request a one-thread draw
+    # makes; two arrays of n/2 would set glibc's trim threshold so low that
+    # their pages went back to the kernel, and faulted in again, every draw.
+    draw = np.empty(n)
+    first, second = draw[:h], draw[h:]
+    if _cpus() > 1 and _busy.acquire(blocking=False):
+        try:
+            reply = SimpleQueue()
+            _helper().put((reply, (seed, n, h, second, f, p0, p1)))
+            mine = _tabulate(seed, n, 0, first, f, p0, p1)
+            theirs = reply.get()
+        finally:
+            _busy.release()
+        if isinstance(theirs, BaseException):
+            raise theirs
+    else:
+        mine = _tabulate(seed, n, 0, first, f, p0, p1)
+        theirs = _tabulate(seed, n, h, second, f, p0, p1)
+    return tuple(a + b for a, b in zip(mine, theirs))
+
+
+def simulate_cohort(spec: SimulationSpec) -> CohortCounts:
+    """Draw the cohort described by ``spec`` and tabulate its 2x2 counts.
+
+    Deterministic: the same spec always yields the same counts, read from
+    the stream positions of the module docstring's contract.
+    """
+    _require_type(spec, SimulationSpec, "spec")
+    n = spec.n_subjects
+    params = spec.params
+    thresholds = (params.f, params.p0, params.p1)
+    if n < _SPLIT_AT:
+        counts = _tabulate(spec.seed, n, 0, np.empty(n), *thresholds)
+    else:
+        counts = _split_draw(spec.seed, n, *thresholds)
+    n_exposed, n_exposed_case, n_unexposed_case = counts
     return CohortCounts(
         n_exposed_case=n_exposed_case,
         n_exposed_control=n_exposed - n_exposed_case,

@@ -1,6 +1,7 @@
 import argparse
 import json
 import math
+import os
 import subprocess
 import sys
 import xml.etree.ElementTree as ET
@@ -524,6 +525,49 @@ class TestEntryPoints:
         assert completed.returncode == 2
         assert completed.stdout == ""
         assert "rr*p0" in completed.stderr
+
+
+class TestEnvironmentFailures:
+    """A run the environment cannot carry out exits 3 with one stderr line."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["simulate", "--f", "0.2", "--p0", "0.1", "--rr", "1.5", "--n", "100", "--seed", "1"],
+            ["sweep", "--resolution", "3", "--out", "grids.json"],
+            ["plot", "--resolution", "3", "--out", "figure.svg"],
+        ],
+        ids=["simulate", "sweep", "plot"],
+    )
+    def test_without_numpy_exits_3(self, argv, tmp_path):
+        # None in sys.modules makes every import of numpy fail, as in an
+        # environment where it is not installed
+        script = (
+            "import sys\n"
+            "sys.modules['numpy'] = None\n"
+            "from binaryrisk import cli\n"
+            f"sys.exit(cli.main({argv!r}))\n"
+        )
+        completed = subprocess.run(
+            [sys.executable, "-c", script], capture_output=True, text=True, cwd=tmp_path,
+            timeout=60,
+        )
+        assert (completed.returncode, completed.stdout) == (3, "")
+        assert completed.stderr.startswith(f"error: {argv[0]} needs numpy")
+        assert completed.stderr.count("\n") == 1
+        assert list(tmp_path.iterdir()) == []
+
+    def test_closed_stdout_exits_3(self, tmp_path):
+        completed = subprocess.run(
+            [sys.executable, "-m", "binaryrisk", "compute", "--f", "0.2", "--p0", "0.1",
+             "--rr", "1.5"],
+            capture_output=True, text=True, cwd=tmp_path, timeout=60,
+            preexec_fn=lambda: os.close(1),
+        )
+        assert (completed.returncode, completed.stdout) == (3, "")
+        assert completed.stderr == (
+            "error: [Errno 9] stdout is closed; the envelope cannot be written\n"
+        )
 
 
 class TestReusedParser:

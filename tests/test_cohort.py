@@ -1,4 +1,8 @@
+import ast
+import os
+import subprocess
 import sys
+import textwrap
 
 import numpy as np
 import pytest
@@ -48,7 +52,9 @@ STREAM_SCENARIOS = [
     (1e-6, 0.1, 2.0),
     (1.0 - 1e-6, 0.1, 2.0),
 ]
-STREAM_SIZES = [1, 2, 3, 65537, 200003]
+# 2**15 - 1 is the largest cohort drawn by one generator, 2**15 the
+# smallest drawn as two halves, 2**15 + 1 and 1 000 003 split unevenly.
+STREAM_SIZES = [1, 2, 3, 2**15 - 1, 2**15, 2**15 + 1, 65537, 200003, 1_000_003]
 STREAM_SEEDS = [0, 2**64 - 1]
 
 
@@ -173,6 +179,141 @@ class TestSimulateCohort:
         ]
         assert sum(cells) == 1
         assert sorted(cells) == [0, 0, 0, 1]
+
+
+_CHILD_PRELUDE = """
+import os, sys, threading
+from binaryrisk import PopulationParams, SimulationSpec, simulate_cohort
+
+def draw(n, seed):
+    spec = SimulationSpec(params=PopulationParams(f=0.2, p0=0.1, rr=1.5), n_subjects=n, seed=seed)
+    c = simulate_cohort(spec)
+    return (c.n_exposed_case, c.n_exposed_control, c.n_unexposed_case, c.n_unexposed_control)
+"""
+
+
+def _run_child(body, timeout=60):
+    """Run ``body`` after ``_CHILD_PRELUDE`` in a fresh interpreter.
+
+    The body prints one Python literal, which is returned. Each child has
+    its own cohort helper, so no test sees another's.
+    """
+    completed = subprocess.run(
+        [sys.executable, "-c", _CHILD_PRELUDE + textwrap.dedent(body)],
+        capture_output=True, text=True, timeout=timeout,
+    )
+    assert completed.returncode == 0, completed.stderr
+    return ast.literal_eval(completed.stdout)
+
+
+class TestSplitDraw:
+    """The helper thread behind cohorts of 2**15 or more subjects."""
+
+    def test_a_failed_call_leaves_nothing_for_the_next(self):
+        script = """
+        from binaryrisk import cohort
+        draw(200_000, 1)
+        try:
+            draw(10**18, 1)
+        except MemoryError:
+            pass
+        else:
+            sys.exit("no MemoryError")
+        # the helper's half fails: its error reaches the caller, and only it
+        tabulate = cohort._tabulate
+        def failing(seed, n, start, *rest):
+            if start:
+                raise ArithmeticError("helper half")
+            return tabulate(seed, n, start, *rest)
+        cohort._tabulate = failing
+        try:
+            draw(200_000, 2)
+        except ArithmeticError:
+            pass
+        else:
+            sys.exit("the helper's error was lost")
+        cohort._tabulate = tabulate
+        print([draw(200_000, 2), draw(200_000, 3)])
+        """
+        assert _run_child(script) == [
+            tabulate_cohort(0.2, 0.1, 1.5, 200_000, seed) for seed in (2, 3)
+        ]
+
+    def test_threads_drawing_at_once(self):
+        # more drawing threads than cores, switching as often as the
+        # interpreter allows: each must get its own cohort's counts
+        script = """
+        sys.setswitchinterval(1e-6)
+        barrier = threading.Barrier(4)
+        results = {}
+        def worker(first_seed):
+            barrier.wait()
+            results[first_seed] = [draw(200_000, seed) for seed in range(first_seed, first_seed + 6)]
+        threads = [threading.Thread(target=worker, args=(s,)) for s in (10, 20, 30, 40)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=30)
+        print([results, any(t.is_alive() for t in threads)])
+        """
+        assert _run_child(script) == [
+            {
+                first: [tabulate_cohort(0.2, 0.1, 1.5, 200_000, s) for s in range(first, first + 6)]
+                for first in (10, 20, 30, 40)
+            },
+            False,
+        ]
+
+    @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+    def test_forked_child_draws_without_the_parents_helper(self):
+        script = """
+        import warnings
+        warnings.simplefilter("ignore", DeprecationWarning)  # fork of a threaded process
+        draw(200_000, 1)
+        read, write = os.pipe()
+        pid = os.fork()
+        if pid == 0:
+            os.write(write, repr(draw(200_000, 5)).encode())
+            os._exit(0)
+        os.close(write)
+        child = os.read(read, 4096).decode()
+        os.waitpid(pid, 0)
+        print(child)
+        """
+        assert _run_child(script, timeout=30) == tabulate_cohort(0.2, 0.1, 1.5, 200_000, 5)
+
+    @pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="needs os.sched_setaffinity")
+    def test_one_cpu_draws_inline(self):
+        script = """
+        os.sched_setaffinity(0, {sorted(os.sched_getaffinity(0))[0]})
+        print([draw(200_000, 4), threading.active_count()])
+        """
+        assert _run_child(script) == [tabulate_cohort(0.2, 0.1, 1.5, 200_000, 4), 1]
+
+    @pytest.mark.skipif(
+        not hasattr(os, "sched_getaffinity") or len(os.sched_getaffinity(0)) < 2,
+        reason="needs two CPUs",
+    )
+    def test_thread_starts_at_the_split_size(self):
+        script = """
+        draw(2**15 - 1, 1)
+        before = threading.active_count()
+        draw(2**15, 1)
+        print([before, threading.active_count()])
+        """
+        assert _run_child(script) == [1, 2]
+
+    def test_traced_peak_per_subject(self):
+        script = """
+        import tracemalloc
+        draw(200_000, 1)
+        tracemalloc.start()
+        draw(1_000_000, 1)
+        peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.stop()
+        print(peak / 1_000_000)
+        """
+        assert _run_child(script) <= 12
 
 
 class TestEmpiricalC:
