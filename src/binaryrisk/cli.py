@@ -510,7 +510,10 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_IO
     except ImportError as exc:
-        # simulate, sweep and plot import numpy on first use
+        # simulate, sweep and plot import numpy on first use; any other
+        # failed import is a fault of the program, not of the environment
+        if (exc.name or "").partition(".")[0] != "numpy":
+            raise
         print(f"error: {args.command} needs numpy, which failed to import: {exc}", file=sys.stderr)
         return EXIT_IO
     return EXIT_OK

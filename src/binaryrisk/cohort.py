@@ -16,14 +16,15 @@ p0 otherwise). That holds whichever thread reads the output. Identical
 specs therefore produce identical counts on every platform, which is
 what lets the test suite pin exact golden counts.
 
-A cohort of fewer than 2**15 subjects is drawn by one generator through
+A cohort of fewer than 2**16 subjects is drawn by one generator through
 one buffer. A larger one is drawn as two halves, [0, n // 2) and
 [n // 2, n), each by its own generator advanced to the half's two stream
 positions: the calling thread draws the first while a helper thread
 draws the second. So a process gets one daemon thread after its first
-draw of 2**15 or more subjects. A caller that finds the helper busy with
-another thread's draw, or whose CPU affinity holds one CPU, draws both
-halves itself; a forked child starts without the helper.
+draw of 2**16 or more subjects. A caller that finds the helper busy with
+another thread's draw, or whose CPU affinity holds one CPU, draws the
+whole cohort through one generator, as below 2**16; a forked child starts
+without the helper.
 """
 
 from __future__ import annotations
@@ -112,9 +113,11 @@ class SimulationSpec:
         object.__setattr__(self, "seed", _require_count(self.seed, "seed", maximum=_SEED_MAX))
 
 
-# The smallest cohort drawn as two halves. Below it the hand-off to the
-# helper costs more than the second core saves (2-vCPU Xeon, numpy 2.4.6).
-_SPLIT_AT = 2**15
+# The smallest cohort drawn as two halves. Timed inside a stream of CLI
+# requests, where the idle helper must be woken for each draw, splits of
+# 32 768-65 535 subjects ran 0.91-1.05x as fast as one thread and splits
+# of 65 536-99 999 subjects 1.02-1.22x (2-vCPU Xeon, numpy 2.4.6).
+_SPLIT_AT = 2**16
 
 # Held by the thread whose split draw the helper serves.
 _busy = threading.Lock()
@@ -196,27 +199,24 @@ def _tabulate(seed, n, start, draw, f, p0, p1) -> tuple[int, int, int]:
 
 
 def _split_draw(seed, n, f, p0, p1) -> tuple[int, int, int]:
-    """``_tabulate`` of the whole cohort, summed over its two halves."""
-    h = n // 2
+    """``_tabulate`` of the whole cohort, as two halves on two threads if it can."""
     # One allocation for both halves, made before the hand-off: an
     # oversized cohort fails here. It is also the request a one-thread draw
     # makes; two arrays of n/2 would set glibc's trim threshold so low that
     # their pages went back to the kernel, and faulted in again, every draw.
     draw = np.empty(n)
-    first, second = draw[:h], draw[h:]
-    if _cpus() > 1 and _busy.acquire(blocking=False):
-        try:
-            reply = SimpleQueue()
-            _helper().put((reply, (seed, n, h, second, f, p0, p1)))
-            mine = _tabulate(seed, n, 0, first, f, p0, p1)
-            theirs = reply.get()
-        finally:
-            _busy.release()
-        if isinstance(theirs, BaseException):
-            raise theirs
-    else:
-        mine = _tabulate(seed, n, 0, first, f, p0, p1)
-        theirs = _tabulate(seed, n, h, second, f, p0, p1)
+    if _cpus() == 1 or not _busy.acquire(blocking=False):
+        return _tabulate(seed, n, 0, draw, f, p0, p1)
+    h = n // 2
+    try:
+        reply = SimpleQueue()
+        _helper().put((reply, (seed, n, h, draw[h:], f, p0, p1)))
+        mine = _tabulate(seed, n, 0, draw[:h], f, p0, p1)
+        theirs = reply.get()
+    finally:
+        _busy.release()
+    if isinstance(theirs, BaseException):
+        raise theirs
     return tuple(a + b for a, b in zip(mine, theirs))
 
 

@@ -557,6 +557,29 @@ class TestEnvironmentFailures:
         assert completed.stderr.count("\n") == 1
         assert list(tmp_path.iterdir()) == []
 
+    @pytest.mark.parametrize("module", ["cohort", "sweep"])
+    def test_other_import_failure_is_not_reported_as_numpy(self, module, tmp_path):
+        # a binaryrisk module that fails to import is a fault of the
+        # program: its traceback must show
+        argv = {
+            "cohort": ["simulate", "--f", "0.2", "--p0", "0.1", "--rr", "1.5", "--n", "100",
+                       "--seed", "1"],
+            "sweep": ["sweep", "--resolution", "3", "--out", "grids.json"],
+        }[module]
+        script = (
+            "import sys\n"
+            f"sys.modules['binaryrisk.{module}'] = None\n"
+            "from binaryrisk import cli\n"
+            f"sys.exit(cli.main({argv!r}))\n"
+        )
+        completed = subprocess.run(
+            [sys.executable, "-c", script], capture_output=True, text=True, cwd=tmp_path,
+            timeout=60,
+        )
+        assert (completed.returncode, completed.stdout) == (1, "")
+        assert completed.stderr.startswith("Traceback")
+        assert f"ModuleNotFoundError: import of binaryrisk.{module} halted" in completed.stderr
+
     def test_closed_stdout_exits_3(self, tmp_path):
         completed = subprocess.run(
             [sys.executable, "-m", "binaryrisk", "compute", "--f", "0.2", "--p0", "0.1",

@@ -52,9 +52,9 @@ STREAM_SCENARIOS = [
     (1e-6, 0.1, 2.0),
     (1.0 - 1e-6, 0.1, 2.0),
 ]
-# 2**15 - 1 is the largest cohort drawn by one generator, 2**15 the
-# smallest drawn as two halves, 2**15 + 1 and 1 000 003 split unevenly.
-STREAM_SIZES = [1, 2, 3, 2**15 - 1, 2**15, 2**15 + 1, 65537, 200003, 1_000_003]
+# 2**16 - 1 is the largest cohort drawn by one generator, 2**16 the
+# smallest drawn as two halves, 2**16 + 1 and 1 000 003 split unevenly.
+STREAM_SIZES = [1, 2, 3, 2**16 - 1, 2**16, 2**16 + 1, 200003, 1_000_003]
 STREAM_SEEDS = [0, 2**64 - 1]
 
 
@@ -207,7 +207,7 @@ def _run_child(body, timeout=60):
 
 
 class TestSplitDraw:
-    """The helper thread behind cohorts of 2**15 or more subjects."""
+    """The helper thread behind cohorts of 2**16 or more subjects."""
 
     def test_a_failed_call_leaves_nothing_for_the_next(self):
         script = """
@@ -296,9 +296,9 @@ class TestSplitDraw:
     )
     def test_thread_starts_at_the_split_size(self):
         script = """
-        draw(2**15 - 1, 1)
+        draw(2**16 - 1, 1)
         before = threading.active_count()
-        draw(2**15, 1)
+        draw(2**16, 1)
         print([before, threading.active_count()])
         """
         assert _run_child(script) == [1, 2]
