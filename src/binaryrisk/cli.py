@@ -384,7 +384,9 @@ def _build() -> tuple[argparse.ArgumentParser, dict[str, tuple | None]]:
         parents=[common, scenario],
         help="simulate a seeded cohort and compare it with the closed form",
     )
-    simulate.add_argument("--n", type=int, required=True, help="number of subjects to draw")
+    simulate.add_argument(
+        "--n", type=int, required=True, help="number of subjects to draw, at most 2**40"
+    )
     simulate.add_argument(
         "--seed",
         type=int,

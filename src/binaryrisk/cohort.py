@@ -24,13 +24,16 @@ draws the second. So a process gets one daemon thread after its first
 draw of 2**16 or more subjects. A caller that finds the helper busy with
 another thread's draw, or whose CPU affinity holds one CPU, draws the
 whole cohort through one generator, as below 2**16; a forked child starts
-without the helper.
+without the helper. Each thread walks its share in chunks of at most
+2**16 subjects through its part of one buffer, stepping its generator
+between the exposure and disease positions of each chunk. So a draw of
+any size holds one buffer of at most 2**17 floats (1 MiB), and every
+subject still reads the two stream outputs above.
 """
 
 from __future__ import annotations
 
 import os
-import sys
 import threading
 from dataclasses import dataclass, fields
 from queue import SimpleQueue
@@ -52,6 +55,10 @@ __all__ = [
 ]
 
 _SEED_MAX = 2**64 - 1
+# The largest cohort a spec accepts. A draw takes about 3 ns per subject
+# on two cores, so a cohort this size takes about an hour; a larger n
+# would draw for days rather than fail.
+_MAX_SUBJECTS = 2**40
 
 
 @dataclass(frozen=True)
@@ -97,7 +104,11 @@ class CohortCounts:
 
 @dataclass(frozen=True)
 class SimulationSpec:
-    """What to simulate: the scenario, the cohort size, and the RNG seed."""
+    """What to simulate: the scenario, the cohort size, and the RNG seed.
+
+    ``n_subjects`` runs from 1 to 2**40. The draw's memory does not grow
+    with it; its time does, linearly.
+    """
 
     params: PopulationParams
     n_subjects: int
@@ -105,9 +116,8 @@ class SimulationSpec:
 
     def __post_init__(self) -> None:
         _require_type(self.params, PopulationParams, "params")
-        # the longest float64 array numpy accepts: its byte count fits an intp
         n_subjects = _require_count(
-            self.n_subjects, "n_subjects", minimum=1, maximum=sys.maxsize // 8
+            self.n_subjects, "n_subjects", minimum=1, maximum=_MAX_SUBJECTS
         )
         object.__setattr__(self, "n_subjects", n_subjects)
         object.__setattr__(self, "seed", _require_count(self.seed, "seed", maximum=_SEED_MAX))
@@ -118,6 +128,8 @@ class SimulationSpec:
 # 32 768-65 535 subjects ran 0.91-1.05x as fast as one thread and splits
 # of 65 536-99 999 subjects 1.02-1.22x (2-vCPU Xeon, numpy 2.4.6).
 _SPLIT_AT = 2**16
+# The most subjects a thread draws through its buffer at once.
+_CHUNK = 2**16
 
 # Held by the thread whose split draw the helper serves.
 _busy = threading.Lock()
@@ -150,7 +162,8 @@ def _serve(jobs: SimpleQueue) -> None:
 
 
 def _answer(reply: SimpleQueue, half: tuple) -> None:
-    # the half's buffer is freed on return, not held until the next job.
+    # the half's view of the buffer is dropped on return, not held until
+    # the next job.
     # Any exception goes to the caller, which raises it; caught here, it
     # cannot end the helper and leave the caller waiting.
     try:
@@ -170,48 +183,56 @@ def _helper() -> SimpleQueue:
     return _jobs
 
 
-def _tabulate(seed, n, start, draw, f, p0, p1) -> tuple[int, int, int]:
-    """(exposed, exposed cases, unexposed cases) of subjects [start, start + m).
+def _tabulate(seed, n, start, stop, draw, f, p0, p1) -> tuple[int, int, int]:
+    """(exposed, exposed cases, unexposed cases) of subjects [start, stop).
 
-    ``draw`` is a buffer of m floats. The exposure uniforms are stream
-    outputs start .. start + m - 1 and the disease uniforms outputs
-    n + start ..; both blocks go through ``draw``, the exposure block
-    compared before the disease block overwrites it. A subject is a case
-    when its disease uniform falls below the threshold of its exposure
-    group.
+    The share is walked in chunks of at most ``_CHUNK`` subjects through
+    ``draw``, a buffer of at least ``min(stop - start, _CHUNK)`` floats.
+    A chunk [lo, lo + m) reads its exposure uniforms from stream outputs
+    lo .. lo + m - 1, then advances to its disease uniforms at n + lo ..;
+    both blocks go through the buffer, the exposure block compared before
+    the disease block overwrites it. Before the next chunk the generator
+    advances by 2**128 - n, one full period less n, back to lo + m. A
+    subject is a case when its disease uniform falls below the threshold
+    of its exposure group.
     """
-    m = draw.size
     bits = np.random.PCG64(seed)
     if start:
         bits.advance(start)
     rng = np.random.Generator(bits)
-    exposed = rng.random(m, out=draw) < f
-    if m < n:
-        bits.advance(n - m)
-    rng.random(m, out=draw)
-    n_exposed = int(np.count_nonzero(exposed))
-    n_exposed_case = int(np.count_nonzero(exposed & (draw < p1)))
-    below_p0 = draw < p0
-    n_unexposed_case = int(np.count_nonzero(below_p0)) - int(
-        np.count_nonzero(exposed & below_p0)
-    )
+    n_exposed = n_exposed_case = n_unexposed_case = 0
+    for lo in range(start, stop, _CHUNK):
+        m = min(_CHUNK, stop - lo)
+        chunk = draw[:m]
+        exposed = rng.random(m, out=chunk) < f
+        if m < n:
+            bits.advance(n - m)
+        rng.random(m, out=chunk)
+        n_exposed += int(np.count_nonzero(exposed))
+        n_exposed_case += int(np.count_nonzero(exposed & (chunk < p1)))
+        below_p0 = chunk < p0
+        n_unexposed_case += int(np.count_nonzero(below_p0)) - int(
+            np.count_nonzero(exposed & below_p0)
+        )
+        if lo + m < stop:
+            bits.advance(2**128 - n)
     return n_exposed, n_exposed_case, n_unexposed_case
 
 
 def _split_draw(seed, n, f, p0, p1) -> tuple[int, int, int]:
     """``_tabulate`` of the whole cohort, as two halves on two threads if it can."""
-    # One allocation for both halves, made before the hand-off: an
-    # oversized cohort fails here. It is also the request a one-thread draw
-    # makes; two arrays of n/2 would set glibc's trim threshold so low that
-    # their pages went back to the kernel, and faulted in again, every draw.
-    draw = np.empty(n)
+    # One buffer for both threads, made before the hand-off: two arrays
+    # of half the size would set glibc's trim threshold so low that their
+    # pages went back to the kernel, and faulted in again, every draw.
+    draw = np.empty(min(n, 2 * _CHUNK))
     if _cpus() == 1 or not _busy.acquire(blocking=False):
-        return _tabulate(seed, n, 0, draw, f, p0, p1)
+        return _tabulate(seed, n, 0, n, draw, f, p0, p1)
     h = n // 2
+    mid = draw.size // 2
     try:
         reply = SimpleQueue()
-        _helper().put((reply, (seed, n, h, draw[h:], f, p0, p1)))
-        mine = _tabulate(seed, n, 0, draw[:h], f, p0, p1)
+        _helper().put((reply, (seed, n, h, n, draw[mid:], f, p0, p1)))
+        mine = _tabulate(seed, n, 0, h, draw[:mid], f, p0, p1)
         theirs = reply.get()
     finally:
         _busy.release()
@@ -231,7 +252,7 @@ def simulate_cohort(spec: SimulationSpec) -> CohortCounts:
     params = spec.params
     thresholds = (params.f, params.p0, params.p1)
     if n < _SPLIT_AT:
-        counts = _tabulate(spec.seed, n, 0, np.empty(n), *thresholds)
+        counts = _tabulate(spec.seed, n, 0, n, np.empty(n), *thresholds)
     else:
         counts = _split_draw(spec.seed, n, *thresholds)
     n_exposed, n_exposed_case, n_unexposed_case = counts

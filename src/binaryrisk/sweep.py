@@ -68,6 +68,10 @@ __all__ = [
     "grids_to_json",
 ]
 
+# The most lattice cells a sweep evaluates over all its panels. A CSV sweep
+# peaks at about 132 B per cell, so about 2.2 GB at this budget.
+_MAX_CELLS = 2**24
+
 
 @dataclass(frozen=True)
 class GridSpec:
@@ -75,7 +79,8 @@ class GridSpec:
 
     ``resolution`` is the number of samples per axis. The default window
     covers incidences up to 10% and relative risks up to 3, with contour
-    levels every 0.01 from 0.51 to 0.60.
+    levels every 0.01 from 0.51 to 0.60. A sweep holds at most 2**24
+    cells over all its panels: ``len(prevalences) * resolution**2``.
     """
 
     prevalences: tuple[float, ...] = (0.5, 0.2, 0.1)
@@ -107,6 +112,12 @@ class GridSpec:
         resolution = _require_count(
             self.resolution, "resolution", minimum=2, maximum=math.isqrt(sys.maxsize // 8)
         )
+        cells = len(prevalences) * resolution**2
+        if cells > _MAX_CELLS:
+            raise InvalidParamsError(
+                f"prevalences x resolution**2 must be at most {_MAX_CELLS} cells, "
+                f"got {len(prevalences)} x {resolution}**2 = {cells}"
+            )
         object.__setattr__(self, "resolution", resolution)
         levels = tuple(
             _require_finite(v, "contour_level")

@@ -54,7 +54,13 @@ STREAM_SCENARIOS = [
 ]
 # 2**16 - 1 is the largest cohort drawn by one generator, 2**16 the
 # smallest drawn as two halves, 2**16 + 1 and 1 000 003 split unevenly.
-STREAM_SIZES = [1, 2, 3, 2**16 - 1, 2**16, 2**16 + 1, 200003, 1_000_003]
+# Halves of 2**17 - 2 fit one 2**16-subject chunk with a subject to spare
+# and of 2**17 fill it; of 2**17 + 2 they take a second chunk of one
+# subject, and of 2**18 + 3 a third of one or two.
+STREAM_SIZES = [
+    1, 2, 3, 2**16 - 1, 2**16, 2**16 + 1, 2**17 - 2, 2**17, 2**17 + 2, 2**18 + 3, 200003,
+    1_000_003,
+]
 STREAM_SEEDS = [0, 2**64 - 1]
 
 
@@ -101,8 +107,8 @@ class TestSimulationSpec:
             make_spec(0.2, 0.1, 1.5, 10, seed)
 
     def test_subjects_beyond_sys_maxsize_rejected(self):
-        # the longest float64 array numpy accepts is sys.maxsize // 8
-        cap = sys.maxsize // 8
+        # the documented budget; nothing is drawn at construction
+        cap = 2**40
         assert make_spec(0.2, 0.1, 1.5, cap, 1).n_subjects == cap
         for n in (cap + 1, sys.maxsize, sys.maxsize + 1):
             with pytest.raises(InvalidParamsError, match=f"must be at most {cap}, got {n}"):
@@ -213,14 +219,21 @@ class TestSplitDraw:
         script = """
         from binaryrisk import cohort
         draw(200_000, 1)
+        # the caller's half fails while the helper draws: the helper's late
+        # reply must not reach a later call
+        tabulate = cohort._tabulate
+        def failing(seed, n, start, *rest):
+            if not start:
+                raise MemoryError("caller half")
+            return tabulate(seed, n, start, *rest)
+        cohort._tabulate = failing
         try:
-            draw(10**18, 1)
+            draw(200_000, 1)
         except MemoryError:
             pass
         else:
             sys.exit("no MemoryError")
         # the helper's half fails: its error reaches the caller, and only it
-        tabulate = cohort._tabulate
         def failing(seed, n, start, *rest):
             if start:
                 raise ArithmeticError("helper half")
@@ -290,6 +303,15 @@ class TestSplitDraw:
         """
         assert _run_child(script) == [tabulate_cohort(0.2, 0.1, 1.5, 200_000, 4), 1]
 
+    @pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="needs os.sched_setaffinity")
+    def test_one_cpu_draws_many_chunks_inline(self):
+        # 15 chunks of 2**16 subjects and one of 16 963, all on this thread
+        script = """
+        os.sched_setaffinity(0, {sorted(os.sched_getaffinity(0))[0]})
+        print([draw(1_000_003, 6), threading.active_count()])
+        """
+        assert _run_child(script) == [tabulate_cohort(0.2, 0.1, 1.5, 1_000_003, 6), 1]
+
     @pytest.mark.skipif(
         not hasattr(os, "sched_getaffinity") or len(os.sched_getaffinity(0)) < 2,
         reason="needs two CPUs",
@@ -304,16 +326,19 @@ class TestSplitDraw:
         assert _run_child(script) == [1, 2]
 
     def test_traced_peak_per_subject(self):
+        # the draw's buffers and masks are bounded by the chunk, not by n
         script = """
         import tracemalloc
         draw(200_000, 1)
-        tracemalloc.start()
-        draw(1_000_000, 1)
-        peak = tracemalloc.get_traced_memory()[1]
-        tracemalloc.stop()
-        print(peak / 1_000_000)
+        peaks = []
+        for n in (1_000_000, 10_000_000):
+            tracemalloc.start()
+            draw(n, 1)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+            tracemalloc.stop()
+        print(peaks)
         """
-        assert _run_child(script) <= 12
+        assert max(_run_child(script)) <= 2 * 2**20
 
 
 class TestEmpiricalC:

@@ -138,6 +138,26 @@ class TestGridSpec:
             GridSpec(resolution=resolution)
         assert str(excinfo.value) == message
 
+    @pytest.mark.parametrize("panels, resolution", [(1, 4096), (64, 512)])
+    def test_lattice_of_2_24_cells_accepted(self, panels, resolution):
+        prevalences = tuple((i + 1) / (panels + 1) for i in range(panels))
+        spec = GridSpec(prevalences=prevalences, resolution=resolution)
+        assert len(spec.prevalences) * spec.resolution**2 == 2**24
+
+    # No lattice has 2**24 + 1 cells (97 * 257 * 673 has no square factor);
+    # 155 x 329**2 = 2**24 + 139 is the nearest above the budget with fewer
+    # than 200 panels.
+    @pytest.mark.parametrize("panels, resolution", [(1, 4097), (155, 329)])
+    def test_lattice_beyond_2_24_cells_rejected(self, panels, resolution):
+        prevalences = tuple((i + 1) / (panels + 1) for i in range(panels))
+        cells = panels * resolution**2
+        with pytest.raises(InvalidParamsError) as excinfo:
+            GridSpec(prevalences=prevalences, resolution=resolution)
+        assert str(excinfo.value) == (
+            f"prevalences x resolution**2 must be at most 16777216 cells, "
+            f"got {panels} x {resolution}**2 = {cells}"
+        )
+
     @pytest.mark.parametrize(
         "kwargs, message",
         [
