@@ -26,9 +26,14 @@ builds no parser; ``build_parser()`` returns a new parser on each call.
 A plain ``COMMAND --flag value ...`` argv is parsed from a table of the
 command's own argparse actions, built with the parser, into the namespace
 argparse would give; every other argv (help, errors, ``=`` forms,
-abbreviations) goes through ``parse_args``. The envelope is written by
-``_json_text``, which gives the bytes of ``json.dumps(indent=2)`` without
-its pure-Python encoder.
+abbreviations) goes through ``parse_args``. The envelope and the JSON
+records are encoded by ``_json_text``, which gives the bytes of
+``json.dumps(indent=2)`` in one recursive pass instead of through the
+encoder's generators: a float or str of exact built-in type is written
+in its container's loop, and a subclass takes ``json``'s ``isinstance``
+tests. ``_write_text`` writes every ``--out`` payload to a binary file
+as UTF-8, 2**16 characters at a time, so a sweep of several MB is never
+encoded into one more whole copy.
 """
 
 from __future__ import annotations
@@ -36,10 +41,10 @@ from __future__ import annotations
 import argparse
 import errno
 import functools
-import math
 import sys
 from importlib import import_module
 from json.encoder import encode_basestring_ascii
+from math import isfinite, isnan
 
 from . import _LAZY
 from .errors import BinaryRiskError, DegenerateScenarioError, InvalidParamsError
@@ -59,6 +64,12 @@ SCHEMA_VERSION = "1"
 EXIT_OK = 0
 EXIT_INPUT = 2
 EXIT_IO = 3
+
+# the leaf writers of json.encoder, looked up once
+_float_text = float.__repr__
+_int_text = int.__repr__
+
+_WRITE_SLICE = 2**16
 
 
 def _bind(module: str) -> None:
@@ -94,9 +105,12 @@ def _json_text(value, indent: str = "\n") -> str:
 
     Takes dicts with str keys, lists, tuples, str, int, float, bool and
     None, and raises as ``json.dumps`` does: ``ValueError`` for NaN and
-    infinities, ``TypeError`` for any other type. Each leaf goes through
-    the function ``json`` itself uses for it; only the containers and
-    their indentation are written here, without the encoder's generators.
+    infinities, ``TypeError`` for any other type. One recursive pass makes
+    the ``isinstance`` tests ``json`` makes and writes each leaf with the
+    function ``json`` uses for it, so a subclass (``np.float64``, an
+    ``IntEnum``, an ``OrderedDict``) gives the same bytes. The dict and
+    list loops write a finite float or a str of exact built-in type
+    themselves, the commonest leaves, and pass every other item back here.
     """
     if isinstance(value, str):
         return encode_basestring_ascii(value)
@@ -107,25 +121,40 @@ def _json_text(value, indent: str = "\n") -> str:
     if value is False:
         return "false"
     if isinstance(value, int):
-        return int.__repr__(value)
+        return _int_text(value)
     if isinstance(value, float):
-        if math.isfinite(value):
-            return float.__repr__(value)
+        if isfinite(value):
+            return _float_text(value)
         raise ValueError(f"Out of range float values are not JSON compliant: {value!r}")
     inner = indent + "  "
-    if isinstance(value, (list, tuple)):
-        if not value:
-            return "[]"
-        items = [_json_text(item, inner) for item in value]
-        return "[" + inner + ("," + inner).join(items) + indent + "]"
     if isinstance(value, dict):
         if not value:
             return "{}"
-        items = [
-            encode_basestring_ascii(key) + ": " + _json_text(item, inner)
-            for key, item in value.items()
-        ]
+        items = []
+        for key, item in value.items():
+            kind = type(item)
+            if kind is float and isfinite(item):
+                text = _float_text(item)
+            elif kind is str:
+                text = encode_basestring_ascii(item)
+            else:
+                text = _json_text(item, inner)
+            items.append(f"{encode_basestring_ascii(key)}: {text}")
         return "{" + inner + ("," + inner).join(items) + indent + "}"
+    if isinstance(value, (list, tuple)):
+        if not value:
+            return "[]"
+        items = []
+        for item in value:
+            kind = type(item)
+            if kind is float and isfinite(item):
+                text = _float_text(item)
+            elif kind is str:
+                text = encode_basestring_ascii(item)
+            else:
+                text = _json_text(item, inner)
+            items.append(text)
+        return "[" + inner + ("," + inner).join(items) + indent + "]"
     raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
 
 
@@ -165,8 +194,14 @@ def _record_csv(record: dict) -> str:
 
 
 def _write_text(path: str, text: str) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as handle:
-        handle.write(text)
+    """Write ``text`` to ``path`` as UTF-8, ``_WRITE_SLICE`` characters at a time.
+
+    A text-mode ``write`` encodes the whole payload into one more copy,
+    several MB for a sweep; slices of code points never split a character.
+    """
+    with open(path, "wb") as handle:
+        for start in range(0, len(text), _WRITE_SLICE):
+            handle.write(text[start : start + _WRITE_SLICE].encode("utf-8"))
 
 
 def _write_record_payload(args, record: dict) -> dict:
@@ -262,7 +297,7 @@ def _grid_command(args, default_out: str, render) -> dict:
     def bound(reduce, values):
         # masked cells hold NaN and the rest are finite: NaN means all masked
         value = float(reduce(values, axis=None))
-        return None if math.isnan(value) else value
+        return None if isnan(value) else value
 
     panels = [
         {

@@ -27,8 +27,9 @@ whole cohort through one generator, as below 2**16; a forked child starts
 without the helper. Each thread walks its share in chunks of at most
 2**16 subjects through its part of one buffer, stepping its generator
 between the exposure and disease positions of each chunk. So a draw of
-any size holds one buffer of at most 2**17 floats (1 MiB), and every
-subject still reads the two stream outputs above.
+any size holds one buffer of at most 2**17 floats (1 MiB) and two
+boolean masks of one chunk per thread, and every subject still reads
+the two stream outputs above.
 """
 
 from __future__ import annotations
@@ -190,29 +191,36 @@ def _tabulate(seed, n, start, stop, draw, f, p0, p1) -> tuple[int, int, int]:
     ``draw``, a buffer of at least ``min(stop - start, _CHUNK)`` floats.
     A chunk [lo, lo + m) reads its exposure uniforms from stream outputs
     lo .. lo + m - 1, then advances to its disease uniforms at n + lo ..;
-    both blocks go through the buffer, the exposure block compared before
-    the disease block overwrites it. Before the next chunk the generator
-    advances by 2**128 - n, one full period less n, back to lo + m. A
-    subject is a case when its disease uniform falls below the threshold
-    of its exposure group.
+    both blocks go through the buffer, the exposure block compared into
+    the exposure mask before the disease block overwrites it. Before the
+    next chunk the generator advances by 2**128 - n, one full period less
+    n, back to lo + m. A subject is a case when its disease uniform falls
+    below the threshold of its exposure group. The exposure mask and one
+    scratch mask are allocated once per call and filled in place.
     """
     bits = np.random.PCG64(seed)
     if start:
         bits.advance(start)
     rng = np.random.Generator(bits)
+    size = min(stop - start, _CHUNK)
+    exposed_buffer = np.empty(size, dtype=bool)
+    scratch_buffer = np.empty(size, dtype=bool)
     n_exposed = n_exposed_case = n_unexposed_case = 0
     for lo in range(start, stop, _CHUNK):
         m = min(_CHUNK, stop - lo)
         chunk = draw[:m]
-        exposed = rng.random(m, out=chunk) < f
+        exposed = exposed_buffer[:m]
+        scratch = scratch_buffer[:m]
+        np.less(rng.random(m, out=chunk), f, out=exposed)
         if m < n:
             bits.advance(n - m)
         rng.random(m, out=chunk)
         n_exposed += int(np.count_nonzero(exposed))
-        n_exposed_case += int(np.count_nonzero(exposed & (chunk < p1)))
-        below_p0 = chunk < p0
-        n_unexposed_case += int(np.count_nonzero(below_p0)) - int(
-            np.count_nonzero(exposed & below_p0)
+        np.less(chunk, p1, out=scratch)
+        n_exposed_case += int(np.count_nonzero(np.logical_and(exposed, scratch, out=scratch)))
+        np.less(chunk, p0, out=scratch)
+        n_unexposed_case += int(np.count_nonzero(scratch)) - int(
+            np.count_nonzero(np.logical_and(exposed, scratch, out=scratch))
         )
         if lo + m < stop:
             bits.advance(2**128 - n)

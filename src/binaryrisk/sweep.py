@@ -45,7 +45,6 @@ resources.
 from __future__ import annotations
 
 import math
-import sys
 from dataclasses import dataclass
 from functools import cache, partial
 
@@ -108,15 +107,12 @@ class GridSpec:
                 raise InvalidParamsError(f"{low} must lie below {high}, got [{lo:g}, {hi:g}]")
             object.__setattr__(self, low, lo)
             object.__setattr__(self, high, hi)
-        # the lattice is resolution x resolution float64 cells
-        resolution = _require_count(
-            self.resolution, "resolution", minimum=2, maximum=math.isqrt(sys.maxsize // 8)
-        )
+        resolution = _require_count(self.resolution, "resolution", minimum=2)
         cells = len(prevalences) * resolution**2
         if cells > _MAX_CELLS:
             raise InvalidParamsError(
                 f"prevalences x resolution**2 must be at most {_MAX_CELLS} cells, "
-                f"got {len(prevalences)} x {resolution}**2 = {cells}"
+                f"got {len(prevalences)} x {resolution}**2"
             )
         object.__setattr__(self, "resolution", resolution)
         levels = tuple(

@@ -1,10 +1,12 @@
 import argparse
+import enum
 import json
 import math
 import os
 import subprocess
 import sys
 import xml.etree.ElementTree as ET
+from collections import OrderedDict
 from fractions import Fraction
 
 import numpy as np
@@ -436,25 +438,38 @@ class TestSweep:
         assert out == ""
         assert err == (
             "error: prevalences x resolution**2 must be at most 16777216 cells, "
-            "got 1 x 10000000**2 = 100000000000000\n"
+            "got 1 x 10000000**2\n"
         )
         assert not target.exists()
 
-    def test_resolution_beyond_numpy_arrays_exits_2(self, run_cli, tmp_path):
-        # 2^124 cells: more than a numpy array can even be asked to hold
+    # 2^124 cells, more than a numpy array can even be asked to hold, and a
+    # product of more digits than str() writes
+    @pytest.mark.parametrize("resolution", [2**62, 10**2500], ids=["2**62", "10**2500"])
+    def test_resolution_beyond_numpy_arrays_exits_2(self, run_cli, tmp_path, resolution):
         target = tmp_path / "grids.json"
         code, out, err = run_cli(
-            "sweep", "--resolution", str(2**62), "--prevalences", "0.5", "--out", str(target)
+            "sweep", "--resolution", str(resolution), "--prevalences", "0.5", "--out", str(target)
         )
         assert code == 2
         assert out == ""
-        assert err.startswith("error: resolution must be at most")
+        assert err == (
+            f"error: prevalences x resolution**2 must be at most 16777216 cells, "
+            f"got 1 x {resolution}**2\n"
+        )
         assert not target.exists()
 
-    def test_unwritable_out_exits_3(self, run_cli):
-        code, out, err = run_cli(
-            "sweep", "--resolution", "11", "--out", "/nonexistent-dir/grids.json"
-        )
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("sweep", "--resolution", "11", "--out", "/nonexistent-dir/grids.json"),
+            # a JSON record payload goes through the same sliced writer
+            ("compute", "--f", "0.2", "--p0", "0.1", "--rr", "1.5",
+             "--out", "/nonexistent-dir/record.json"),
+        ],
+        ids=["sweep", "compute"],
+    )
+    def test_unwritable_out_exits_3(self, run_cli, argv):
+        code, out, err = run_cli(*argv)
         assert code == 3
         assert out == ""
         assert err != ""
@@ -1112,6 +1127,24 @@ _JSON_VALUES = st.recursive(
 )
 
 
+class _Real(float):
+    def __repr__(self):
+        return "not a float"
+
+
+class _Code(enum.IntEnum):
+    TWO = 2
+
+
+class _Text(str):
+    def __str__(self):
+        return "not a str"
+
+
+class _Items(list):
+    pass
+
+
 class TestJsonText:
     """The envelope writer gives the bytes of ``json.dumps(indent=2)``."""
 
@@ -1122,8 +1155,26 @@ class TestJsonText:
 
     @pytest.mark.parametrize(
         "value",
-        [math.nan, math.inf, -math.inf, {"x": [1, math.inf]}, {1j: 1}, {"x": 1j}, [{0.5}],
-         (1, b"bytes")],
+        [
+            np.float64(0.1), [np.float64(-0.0), np.float64(5e-324)], {"x": np.float64(1e308)},
+            _Real(0.5), [_Real(-2.0)], {"x": _Real(1e-7)},
+            _Code.TWO, [_Code.TWO, True], {"x": _Code.TWO},
+            _Text('a"\\\u00e9'), [_Text("")], {_Text("key"): _Text("value")},
+            OrderedDict(a=1.5, b=[OrderedDict(), OrderedDict(c="d")]),
+            _Items([1.5, "x", None, False]), {"x": _Items()}, _Items([_Items([0.25])]),
+            {"%": 1, "a%sb%%": "%d", "\u00e9\u20ac\U0001f600": ["\ud800"], '\n"\\\x7f': None},
+        ],
+        ids=repr,
+    )
+    def test_subclasses_and_escaped_keys_equal_json_dumps(self, value):
+        # json writes a subclass with the base type's writer, never its own repr
+        assert cli._json_text(value) == json.dumps(value, indent=2, allow_nan=False)
+
+    @pytest.mark.parametrize(
+        "value",
+        [math.nan, math.inf, -math.inf, {"x": [1, math.inf]}, {"x": math.nan}, {1j: 1},
+         {"x": 1j}, [{0.5}], (1, b"bytes"), np.float64("nan"), [np.float64("inf")],
+         {"x": np.float64("-inf")}, _Real("nan"), np.int64(1), {"x": [np.bool_(True)]}],
         ids=repr,
     )
     def test_raises_as_json_dumps(self, value):
@@ -1131,3 +1182,13 @@ class TestJsonText:
             json.dumps(value, indent=2, allow_nan=False)
         with pytest.raises(expected.type):
             cli._json_text(value)
+
+
+class TestWriteText:
+    def test_payload_of_several_slices_is_written_as_utf8(self, tmp_path):
+        size = cli._WRITE_SLICE
+        # the slice boundary falls between two multi-byte characters
+        text = "\r\n" + "a" * (size - 3) + "\u00e9\u20ac" + "\U0001f600" * size + "\n" * size
+        target = tmp_path / "payload.json"
+        cli._write_text(str(target), text)
+        assert target.read_bytes() == text.encode("utf-8")
