@@ -538,8 +538,9 @@ def main(argv=None) -> int:
         return EXIT_INPUT
     except MemoryError as exc:
         # numpy raises a MemoryError subclass for an array larger than memory
+        detail = f": {exc}" if str(exc) else ""
         print(
-            f"error: out of memory: {exc}; lower --n (simulate) or --resolution (sweep, plot)",
+            f"error: out of memory{detail}; lower --resolution or the number of --prevalences",
             file=sys.stderr,
         )
         return EXIT_INPUT

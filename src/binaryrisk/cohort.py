@@ -16,20 +16,18 @@ p0 otherwise). That holds whichever thread reads the output. Identical
 specs therefore produce identical counts on every platform, which is
 what lets the test suite pin exact golden counts.
 
-A cohort of fewer than 2**16 subjects is drawn by one generator through
-one buffer. A larger one is drawn as two halves, [0, n // 2) and
-[n // 2, n), each by its own generator advanced to the half's two stream
-positions: the calling thread draws the first while a helper thread
-draws the second. So a process gets one daemon thread after its first
-draw of 2**16 or more subjects. A caller that finds the helper busy with
-another thread's draw, or whose CPU affinity holds one CPU, draws the
-whole cohort through one generator, as below 2**16; a forked child starts
-without the helper. Each thread walks its share in chunks of at most
-2**16 subjects through its part of one buffer, stepping its generator
-between the exposure and disease positions of each chunk. So a draw of
-any size holds one buffer of at most 2**17 floats (1 MiB) and two
-boolean masks of one chunk per thread, and every subject still reads
-the two stream outputs above.
+A cohort is drawn whole, through one generator on the calling thread,
+when it has fewer than 2**16 subjects, when the process's CPU affinity
+holds one CPU, or when the helper thread is busy with another thread's
+draw. Otherwise the calling thread draws [0, n // 2) while the helper,
+started by the first such draw (a forked child starts without it), draws
+[n // 2, n), each half by its own generator advanced to the half's two
+stream positions. Each thread walks its share in chunks of at most 2**16
+subjects through its part of one buffer, stepping its generator between
+the exposure and disease positions of each chunk. So a draw of any size
+holds one buffer of at most 2**17 floats (1 MiB) and two boolean masks
+of one chunk per thread, and every subject still reads the two stream
+outputs above; the counts do not depend on how the cohort was drawn.
 """
 
 from __future__ import annotations
@@ -108,7 +106,9 @@ class SimulationSpec:
     """What to simulate: the scenario, the cohort size, and the RNG seed.
 
     ``n_subjects`` runs from 1 to 2**40. The draw's memory does not grow
-    with it; its time does, linearly.
+    with it; its time does, linearly. Whatever the size, the cohort is
+    drawn whole or in two halves as the module docstring says, with the
+    same counts either way.
     """
 
     params: PopulationParams
@@ -132,9 +132,9 @@ _SPLIT_AT = 2**16
 # The most subjects a thread draws through its buffer at once.
 _CHUNK = 2**16
 
-# Held by the thread whose split draw the helper serves.
+# Held by the thread whose draw in halves the helper serves.
 _busy = threading.Lock()
-# The helper's job queue, None until the first split draw starts the helper.
+# The helper's job queue, None until the first draw in halves starts it.
 _jobs = None
 
 
@@ -159,34 +159,21 @@ def _cpus() -> int:
 def _serve(jobs: SimpleQueue) -> None:
     """The helper thread's loop: answer each job as it comes."""
     while True:
-        _answer(*jobs.get())
-
-
-def _answer(reply: SimpleQueue, half: tuple) -> None:
-    # the half's view of the buffer is dropped on return, not held until
-    # the next job.
-    # Any exception goes to the caller, which raises it; caught here, it
-    # cannot end the helper and leave the caller waiting.
-    try:
-        reply.put(_tabulate(*half))
-    except BaseException as exc:
-        reply.put(exc)
-
-
-def _helper() -> SimpleQueue:
-    global _jobs
-    if _jobs is None:
-        jobs = SimpleQueue()
-        threading.Thread(
-            target=_serve, args=(jobs,), name="binaryrisk-cohort", daemon=True
-        ).start()
-        _jobs = jobs
-    return _jobs
+        reply, half = jobs.get()
+        # Any exception goes to the caller, which raises it; caught here, it
+        # cannot end the helper and leave the caller waiting.
+        try:
+            reply.put(_tabulate(*half))
+        except BaseException as exc:
+            reply.put(exc)
+        # the half's view of the buffer is not held until the next job
+        del reply, half
 
 
 def _tabulate(seed, n, start, stop, draw, f, p0, p1) -> tuple[int, int, int]:
     """(exposed, exposed cases, unexposed cases) of subjects [start, stop).
 
+    [start, stop) is the whole cohort [0, n), or one of its two halves.
     The share is walked in chunks of at most ``_CHUNK`` subjects through
     ``draw``, a buffer of at least ``min(stop - start, _CHUNK)`` floats.
     A chunk [lo, lo + m) reads its exposure uniforms from stream outputs
@@ -227,19 +214,24 @@ def _tabulate(seed, n, start, stop, draw, f, p0, p1) -> tuple[int, int, int]:
     return n_exposed, n_exposed_case, n_unexposed_case
 
 
-def _split_draw(seed, n, f, p0, p1) -> tuple[int, int, int]:
+def _draw(seed, n, f, p0, p1) -> tuple[int, int, int]:
     """``_tabulate`` of the whole cohort, as two halves on two threads if it can."""
+    global _jobs
     # One buffer for both threads, made before the hand-off: two arrays
     # of half the size would set glibc's trim threshold so low that their
     # pages went back to the kernel, and faulted in again, every draw.
     draw = np.empty(min(n, 2 * _CHUNK))
-    if _cpus() == 1 or not _busy.acquire(blocking=False):
+    if n < _SPLIT_AT or _cpus() == 1 or not _busy.acquire(blocking=False):
         return _tabulate(seed, n, 0, n, draw, f, p0, p1)
     h = n // 2
     mid = draw.size // 2
     try:
+        if _jobs is None:
+            jobs = SimpleQueue()
+            threading.Thread(target=_serve, args=(jobs,), name="binaryrisk-cohort", daemon=True).start()
+            _jobs = jobs
         reply = SimpleQueue()
-        _helper().put((reply, (seed, n, h, n, draw[mid:], f, p0, p1)))
+        _jobs.put((reply, (seed, n, h, n, draw[mid:], f, p0, p1)))
         mine = _tabulate(seed, n, 0, h, draw[:mid], f, p0, p1)
         theirs = reply.get()
     finally:
@@ -257,13 +249,8 @@ def simulate_cohort(spec: SimulationSpec) -> CohortCounts:
     """
     _require_type(spec, SimulationSpec, "spec")
     n = spec.n_subjects
-    params = spec.params
-    thresholds = (params.f, params.p0, params.p1)
-    if n < _SPLIT_AT:
-        counts = _tabulate(spec.seed, n, 0, n, np.empty(n), *thresholds)
-    else:
-        counts = _split_draw(spec.seed, n, *thresholds)
-    n_exposed, n_exposed_case, n_unexposed_case = counts
+    p = spec.params
+    n_exposed, n_exposed_case, n_unexposed_case = _draw(spec.seed, n, p.f, p.p0, p.p1)
     return CohortCounts(
         n_exposed_case=n_exposed_case,
         n_exposed_control=n_exposed - n_exposed_case,

@@ -77,6 +77,16 @@ def _require_type(value, kind: type, name: str) -> None:
         raise InvalidParamsError(f"{name} must be a {kind.__name__}, got {type(value).__name__}")
 
 
+def _shown(value) -> str:
+    """``repr(value)``; where ``repr`` refuses, as for an int of over 4300 digits, its size."""
+    try:
+        return repr(value)
+    except ValueError:
+        if isinstance(value, int):
+            return f"<{'negative ' * (value < 0)}int of {value.bit_length()} bits>"
+        return f"<{type(value).__name__} too long to write>"
+
+
 def _require_iterable(value, name: str):
     """``iter(value)``; a ``str`` or ``bytes`` is one value, not a list of them."""
     if not isinstance(value, (str, bytes)):
@@ -84,14 +94,16 @@ def _require_iterable(value, name: str):
             return iter(value)
         except TypeError:
             pass
-    raise InvalidParamsError(f"{name} must be an iterable of numbers, got {value!r}")
+    raise InvalidParamsError(f"{name} must be an iterable of numbers, got {_shown(value)}")
 
 
 def _require_finite(value, name: str) -> float:
     try:
         x = float(value)
     except (TypeError, ValueError) as exc:
-        raise InvalidParamsError(f"{name} must be a real number, got {value!r}") from exc
+        raise InvalidParamsError(f"{name} must be a real number, got {_shown(value)}") from exc
+    except OverflowError as exc:
+        raise InvalidParamsError(f"{name} must lie in float range, got {_shown(value)}") from exc
     if not math.isfinite(x):
         raise InvalidParamsError(f"{name} must be finite, got {x}")
     return x
@@ -120,12 +132,12 @@ def _require_positive(value, name: str, *, allow_zero: bool = False) -> float:
 def _require_count(value, name: str, *, minimum: int = 0, maximum: int | None = None) -> int:
     """An integer in [``minimum``, ``maximum``], as an ``int``; a bool is not a count."""
     if isinstance(value, bool) or not hasattr(value, "__index__"):
-        raise InvalidParamsError(f"{name} must be an integer, got {value!r}")
+        raise InvalidParamsError(f"{name} must be an integer, got {_shown(value)}")
     count = operator.index(value)
     if count < minimum:
-        raise InvalidParamsError(f"{name} must be at least {minimum}, got {count}")
+        raise InvalidParamsError(f"{name} must be at least {minimum}, got {_shown(count)}")
     if maximum is not None and count > maximum:
-        raise InvalidParamsError(f"{name} must be at most {maximum}, got {count}")
+        raise InvalidParamsError(f"{name} must be at most {maximum}, got {_shown(count)}")
     return count
 
 

@@ -53,7 +53,7 @@ import numpy as np
 from .errors import InvalidParamsError
 from .measures import (
     _measure_kernel, _par, _require_count, _require_finite, _require_iterable, _require_positive,
-    _require_prob, _require_type,
+    _require_prob, _require_type, _shown,
 )
 
 __all__ = [
@@ -112,7 +112,7 @@ class GridSpec:
         if cells > _MAX_CELLS:
             raise InvalidParamsError(
                 f"prevalences x resolution**2 must be at most {_MAX_CELLS} cells, "
-                f"got {len(prevalences)} x {resolution}**2"
+                f"got {len(prevalences)} x {_shown(resolution)}**2"
             )
         object.__setattr__(self, "resolution", resolution)
         levels = tuple(
@@ -201,7 +201,7 @@ def evaluate_grid(spec: GridSpec, prevalence: float) -> MeasureGrid:
     _require_type(spec, GridSpec, "spec")
     if prevalence not in spec.prevalences:
         raise InvalidParamsError(
-            f"prevalence {prevalence!r} is not one of the spec's panels {spec.prevalences}"
+            f"prevalence {_shown(prevalence)} is not one of the spec's panels {spec.prevalences}"
         )
     p0_axis = np.linspace(spec.p0_min, spec.p0_max, spec.resolution)
     rr_axis = np.linspace(spec.rr_min, spec.rr_max, spec.resolution)

@@ -442,6 +442,35 @@ class TestSweep:
         )
         assert not target.exists()
 
+    @pytest.mark.skipif(
+        not sys.platform.startswith("linux"), reason="needs RLIMIT_AS as a hard address-space cap"
+    )
+    @pytest.mark.parametrize("limit_mib", [400, 1024])
+    def test_out_of_memory_names_the_sweep_flags(self, tmp_path, limit_mib):
+        # a 4096**2 CSV lattice within the cell budget, under an address-space
+        # limit it does not fit: the caps give numpy's message and a bare
+        # MemoryError. One BLAS thread keeps the reservations independent of
+        # the core count.
+        import resource
+
+        def limit():
+            resource.setrlimit(resource.RLIMIT_AS, (limit_mib * 2**20, limit_mib * 2**20))
+
+        target = tmp_path / "g.csv"
+        completed = subprocess.run(
+            [sys.executable, "-m", "binaryrisk", "sweep", "--prevalences", "0.2",
+             "--resolution", "4096", "--format", "csv", "--out", str(target)],
+            capture_output=True, text=True, timeout=120, preexec_fn=limit,
+            env={**os.environ, "OPENBLAS_NUM_THREADS": "1"},
+        )
+        assert completed.returncode == 2, completed.stderr
+        assert completed.stdout == ""
+        lines = completed.stderr.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: out of memory"), lines
+        assert lines[0].endswith("; lower --resolution or the number of --prevalences")
+        assert "--n" not in lines[0] and "memory: ;" not in lines[0]
+        assert not target.exists()
+
     # 2^124 cells, more than a numpy array can even be asked to hold, and a
     # product of more digits than str() writes
     @pytest.mark.parametrize("resolution", [2**62, 10**2500], ids=["2**62", "10**2500"])

@@ -341,6 +341,21 @@ class TestSplitDraw:
         """
         assert max(_run_child(script)) <= 1.4 * 2**20
 
+    def test_no_buffer_held_between_draws(self):
+        # the helper lets go of its half's view once it has replied, so the
+        # 1 MiB buffer is freed with the draw, not kept until the next job
+        script = """
+        import time, tracemalloc
+        draw(200_000, 1)
+        tracemalloc.start()
+        draw(200_000, 1)
+        deadline = time.monotonic() + 5
+        while tracemalloc.get_traced_memory()[0] > 2**16 and time.monotonic() < deadline:
+            time.sleep(0.01)
+        print(tracemalloc.get_traced_memory()[0])
+        """
+        assert _run_child(script) <= 2**16
+
 
 class TestEmpiricalC:
     def test_single_concordant_pair(self):

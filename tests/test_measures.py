@@ -16,8 +16,10 @@ from hypothesis import strategies as st
 
 from binaryrisk import (
     BinaryRiskError,
+    CohortCounts,
     DegenerateScenarioError,
     DerivedMeasures,
+    GridSpec,
     InvalidParamsError,
     PopulationParams,
     SimulationSpec,
@@ -25,6 +27,7 @@ from binaryrisk import (
     c_index_closed,
     c_index_three_term,
     derive_measures,
+    evaluate_grid,
     incidence_exposed,
     max_feasible_rr,
     par,
@@ -112,6 +115,109 @@ class TestPopulationParams:
     def test_non_number_rejected(self, bad):
         with pytest.raises(InvalidParamsError, match=f"f must be a real number, got {bad!r}"):
             PopulationParams(f=bad, p0=0.1, rr=1.5)
+
+
+_PARAMS = PopulationParams(0.2, 0.1, 1.5)
+_BEYOND_FLOAT = str(10**400)
+# 10**5000 has more digits than str() writes where Python limits them
+# (3.10.7 and later, unless PYTHONINTMAXSTRDIGITS=0)
+_LIMITED = 0 < getattr(sys, "get_int_max_str_digits", lambda: 0)() < 5001
+_BIG = "<int of 16610 bits>" if _LIMITED else str(10**5000)
+_NEGATIVE_BIG = "<negative int of 16610 bits>" if _LIMITED else str(-10**5000)
+
+
+# Beyond float range, or too long for str(): each is a typed rejection whose
+# message names the value, or its size where it cannot be written out.
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        pytest.param(
+            lambda: PopulationParams(10**400, 0.1, 1.5),
+            f"f must lie in float range, got {_BEYOND_FLOAT}",
+            id="f-10**400",
+        ),
+        pytest.param(
+            lambda: GridSpec(rr_max=10**400),
+            f"rr_max must lie in float range, got {_BEYOND_FLOAT}",
+            id="rr_max-10**400",
+        ),
+        pytest.param(
+            lambda: GridSpec(contour_levels=(10**400,)),
+            f"contour_level must lie in float range, got {_BEYOND_FLOAT}",
+            id="contour_level-10**400",
+        ),
+        pytest.param(
+            lambda: rr_from_par(0.2, 10**400),
+            f"target_par must lie in float range, got {_BEYOND_FLOAT}",
+            id="target_par-10**400",
+        ),
+        pytest.param(
+            lambda: rr_for_target_c(0.2, 0.1, 0.55, tolerance=10**400),
+            f"tolerance must lie in float range, got {_BEYOND_FLOAT}",
+            id="tolerance-10**400",
+        ),
+        pytest.param(
+            lambda: par(0.2, Fraction(10**400, 3)),
+            f"rr must lie in float range, got Fraction({_BEYOND_FLOAT}, 3)",
+            id="rr-Fraction",
+        ),
+        pytest.param(
+            lambda: GridSpec(resolution=10**5000),
+            f"prevalences x resolution**2 must be at most 16777216 cells, got 3 x {_BIG}**2",
+            id="resolution-10**5000",
+        ),
+        pytest.param(
+            lambda: GridSpec(resolution=-10**5000),
+            f"resolution must be at least 2, got {_NEGATIVE_BIG}",
+            id="resolution--10**5000",
+        ),
+        pytest.param(
+            lambda: GridSpec(prevalences=10**5000),
+            f"prevalences must be an iterable of numbers, got {_BIG}",
+            id="prevalences-10**5000",
+        ),
+        pytest.param(
+            lambda: evaluate_grid(GridSpec(resolution=3), 10**5000),
+            f"prevalence {_BIG} is not one of the spec's panels (0.5, 0.2, 0.1)",
+            id="panel-10**5000",
+        ),
+        pytest.param(
+            lambda: SimulationSpec(_PARAMS, n_subjects=10**5000, seed=1),
+            f"n_subjects must be at most 1099511627776, got {_BIG}",
+            id="n_subjects-10**5000",
+        ),
+        pytest.param(
+            lambda: SimulationSpec(_PARAMS, n_subjects=10, seed=10**5000),
+            f"seed must be at most 18446744073709551615, got {_BIG}",
+            id="seed-10**5000",
+        ),
+        pytest.param(
+            lambda: SimulationSpec(_PARAMS, n_subjects=10, seed=-10**5000),
+            f"seed must be at least 0, got {_NEGATIVE_BIG}",
+            id="seed--10**5000",
+        ),
+        pytest.param(
+            lambda: CohortCounts(-10**5000, 1, 1, 1),
+            f"n_exposed_case must be at least 0, got {_NEGATIVE_BIG}",
+            id="count--10**5000",
+        ),
+        pytest.param(
+            lambda: PopulationParams(10**5000, 0.1, 1.5),
+            f"f must lie in float range, got {_BIG}",
+            id="f-10**5000",
+        ),
+        pytest.param(
+            lambda: par(0.2, Fraction(10**5000, 3)),
+            "rr must lie in float range, got "
+            + ("<Fraction too long to write>" if _LIMITED else repr(Fraction(10**5000, 3))),
+            id="rr-Fraction-10**5000",
+        ),
+    ],
+)
+def test_huge_values_are_typed_rejections(call, message):
+    with pytest.raises(InvalidParamsError) as info:
+        call()
+    assert str(info.value) == message
 
 
 # Frozen dataclasses declared as the two records were: the oracle for their
