@@ -18,6 +18,10 @@ is an error rather than a silent change of the stdout contract.
 ``sweep`` and ``plot`` import the numpy-backed ``cohort`` and ``sweep`` on
 first use, so the first two never load numpy. The names taken from those
 two modules are the package's ``_LAZY`` table, the one list of them.
+``solve --target-c`` reports as ``verification.c_index`` the measure
+kernel's c-index at the returned rr (``measures._c_at``): the bits, and
+the errors, of ``derive_measures`` at that rr, without a second
+``PopulationParams``.
 
 ``main(argv)`` may be called repeatedly in one process: it builds its
 parser on the first call and reuses it for every later one, so an
@@ -50,6 +54,7 @@ from . import _LAZY
 from .errors import BinaryRiskError, DegenerateScenarioError, InvalidParamsError
 from .measures import (
     PopulationParams,
+    _c_at,
     _require_finite,
     derive_measures,
     par,
@@ -252,8 +257,9 @@ def _cmd_solve(args) -> tuple[dict, list]:
             raise InvalidParamsError("--target-c requires --p0")
         tolerance = {} if args.tolerance is None else {"tolerance": args.tolerance}
         rr = rr_for_target_c(args.f, args.p0, args.target_c, **tolerance)
-        forward = derive_measures(PopulationParams(f=args.f, p0=args.p0, rr=rr))
-        verification = {"c_index": forward.c_index}
+        # the solver accepted f and p0 and keeps rr * p0 <= 1: the kernel's
+        # c at rr, with the bits and errors of derive_measures there
+        verification = {"c_index": _c_at(args.f, args.p0, rr)}
     return _write_record_payload(args, {"rr": rr, "verification": verification}), warnings
 
 

@@ -434,6 +434,14 @@ def max_feasible_rr(p0) -> float:
     return min(1.0 / p0, sys.float_info.max)
 
 
+def _c_at(f, p0, rr) -> float:
+    """The kernel's c-index at (f, p0, rr), validating nothing: for f and p0
+    as :class:`PopulationParams` accepts them and rr * p0 <= 1 it has the bits
+    of ``derive_measures(PopulationParams(f, p0, rr)).c_index`` and raises
+    what that raises."""
+    return _measure_kernel(f, p0, rr * p0, rr)[4]
+
+
 def _closed_root(f, p0, target) -> float:
     """The rr whose exact c-index is ``target``, in closed form; NaN where the
     float arithmetic gives no finite root. For 0 < f, p0 < 1 and
@@ -471,12 +479,16 @@ def rr_for_target_c(f, p0, target_c, *, tolerance=1e-10) -> float:
     (:func:`_closed_root`) at a relative distance of 1e-12, else 1e-9;
     once both values clear the target by a bound far above their rounding
     error, every midpoint outside that thin zone lies on a known side of the
-    root. Such a midpoint moves the bracket without an evaluation, and the
-    loop takes the same steps to the same result bits as one that evaluates
-    every midpoint (the argument is in the code). A scenario with f*p0
-    below the floor, or a root the zone cannot certify, evaluates every
-    midpoint. Solves from the benchmark's sampler take a median of 4
-    evaluations of c instead of 43.
+    root. A tight inner loop steps past such midpoints with two comparisons
+    each and no evaluation, while the bracket is wider than ``tolerance``;
+    it stops at a midpoint inside the zone, in a bracket within
+    ``tolerance``, or equal to an end (the ends are adjacent floats), and
+    that midpoint alone is evaluated. So the loop takes the same steps to the
+    same result bits as one that evaluates every midpoint (the argument is
+    in the code). A scenario with f*p0 below the floor, or a root the zone
+    cannot certify, has no zone: the inner loop stops at once and every
+    midpoint is evaluated. Solves from the benchmark's sampler take a
+    median of 4 evaluations of c instead of 43.
 
     Raises :class:`InvalidParamsError` unless ``tolerance`` is finite and
     positive, and :class:`TargetUnreachableError` when ``target_c``
@@ -496,13 +508,10 @@ def rr_for_target_c(f, p0, target_c, *, tolerance=1e-10) -> float:
     tol = _require_positive(tolerance, "tolerance")
 
     lo = 1.0
-    hi = max_feasible_rr(p0)
+    # max_feasible_rr(p0), whose check of p0 has been made above
+    hi = min(1.0 / p0, sys.float_info.max)
 
-    # Every rr in [1, hi] keeps rr * p0 <= 1: the scenario needs no re-validation.
-    def c_at(rr: float) -> float:
-        return _measure_kernel(f, p0, rr * p0, rr)[4]
-
-    c_hi = c_at(hi)
+    c_hi = _c_at(f, p0, hi)
     if target > c_hi + tol:
         raise TargetUnreachableError(
             f"target_c = {target:.12g} is unreachable: the achievable c-index "
@@ -519,43 +528,61 @@ def rr_for_target_c(f, p0, target_c, *, tolerance=1e-10) -> float:
 
     # The zone (z_lo, z_hi) around the closed-form root holds every midpoint
     # whose sign of c(mid) - target is in doubt; outside it the sign is known
-    # without evaluating c. Float c_at(m) depends on m only through the float
-    # p1 = fl(m*p0), and there it is the exact c at that p1 plus an absolute
-    # error E of about 9u (u the unit roundoff). Rounding is monotone, so
-    # mid <= a gives fl(mid*p0) <= fl(a*p0), and exact c increases in p1:
-    # c_at(mid) <= c_at(a) + 2E. So c_at(a) < target - 2E gives
-    # c_at(mid) < target for every mid <= a, and c_at(b) > target + 2E gives
-    # c_at(mid) > target for every mid >= b: bisection would step exactly as
-    # it does below, to the same midpoints and the same result bits. The
-    # bound, 256u, is 2E with a wide margin. With f*p0 at or above the float
-    # floor, no rr in [1, hi] reaches the floor's raise or the upscaled branch
-    # of _f_cases, so no skipped evaluation could have raised. In every other
-    # case the zone is the whole line, and every midpoint is evaluated.
+    # without evaluating c. Float c_at(m) = _c_at(f, p0, m) depends on m only
+    # through the float p1 = fl(m*p0), and there it is the exact c at that p1
+    # plus an absolute error E of about 9u (u the unit roundoff). Rounding is
+    # monotone, so mid <= a gives fl(mid*p0) <= fl(a*p0), and exact c
+    # increases in p1: c_at(mid) <= c_at(a) + 2E. So c_at(a) < target - 2E
+    # gives c_at(mid) < target for every mid <= a, and c_at(b) > target + 2E
+    # gives c_at(mid) > target for every mid >= b: bisection would step
+    # exactly as it does below, to the same midpoints and the same result
+    # bits. The bound, 256u, is 2E with a wide margin. With f*p0 at or above
+    # the float floor, no rr in [1, hi] reaches the floor's raise or the
+    # upscaled branch of _f_cases, so no skipped evaluation could have raised.
+    # In every other case the zone is (0, inf), which holds every midpoint,
+    # and every midpoint is evaluated.
     z_lo, z_hi = 0.0, math.inf
     if f * p0 >= _FLOAT_MIN:
         root = _closed_root(f, p0, target)
         bound = 128.0 * _EPSILON
         for kappa in (1e-12, 1e-9):
             a, b = root * (1.0 - kappa), root * (1.0 + kappa)
-            if 1.0 < a and b < hi and c_at(a) < target - bound and c_at(b) > target + bound:
+            if (
+                1.0 < a
+                and b < hi
+                and _c_at(f, p0, a) < target - bound
+                and _c_at(f, p0, b) > target + bound
+            ):
                 z_lo, z_hi = a, b
                 break
 
-    # c(lo) < target <= c(hi) holds throughout
+    # c(lo) < target <= c(hi) holds throughout. The inner loop steps past
+    # each midpoint of known side while the bracket is wider than tol, with
+    # no evaluation; it stops at a midpoint in the zone, in a bracket within
+    # tol, or at one equal to an end (lo and hi adjacent floats), and that
+    # midpoint is evaluated. An adjacent end outside the zone cannot raise,
+    # as a zone exists only where f*p0 is at or above the float floor.
     while True:
-        # rounds as 0.5 * (lo + hi) does, but cannot overflow near 1.8e308
+        while hi - lo > tol:
+            # rounds as 0.5 * (lo + hi) does, but cannot overflow near 1.8e308
+            mid = 0.5 * lo + 0.5 * hi
+            if lo < mid <= z_lo:
+                lo = mid
+            elif z_hi <= mid < hi:
+                hi = mid
+            else:
+                break
         mid = 0.5 * lo + 0.5 * hi
-        if z_lo < mid < z_hi or hi - lo <= tol:
-            c_mid = c_at(mid)
-            if abs(c_mid - target) <= tol and (hi - lo) <= tol:
-                return mid
-            below = c_mid < target
-        else:
-            below = mid <= z_lo
+        c_mid = _c_at(f, p0, mid)
+        if abs(c_mid - target) <= tol and hi - lo <= tol:
+            return mid
         if mid == lo or mid == hi:
             # lo and hi are adjacent floats: the bracket cannot shrink. Each end
             # is 1, whose c is exactly 1/2, or an rr whose c bisection evaluated,
             # or could have without raising: evaluating it again gives those bits.
-            c_lo = c_lo if lo == 1.0 else c_at(lo)
-            return lo if target - c_lo < c_at(hi) - target else hi
-        lo, hi = (mid, hi) if below else (lo, mid)
+            c_lo = c_lo if lo == 1.0 else _c_at(f, p0, lo)
+            return lo if target - c_lo < _c_at(f, p0, hi) - target else hi
+        if c_mid < target:
+            lo = mid
+        else:
+            hi = mid

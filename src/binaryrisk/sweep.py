@@ -122,6 +122,26 @@ class GridSpec:
         object.__setattr__(self, "contour_levels", levels)
 
 
+def _typed_array(value, dtype: type, name: str) -> np.ndarray:
+    """``np.asarray(value, dtype)``, or :class:`InvalidParamsError` naming ``name``.
+
+    Where an entry cannot become a float, the first such entry raises as
+    :func:`_require_finite` raises for one number: out of float range, or
+    not a real number. Any other failure, such as a ragged nesting, is
+    typed with numpy's reason.
+    """
+    try:
+        return np.asarray(value, dtype)
+    except (TypeError, ValueError, OverflowError) as exc:
+        if dtype is float:
+            for item in np.asarray(value, object).flat:
+                try:
+                    np.asarray(item, float)
+                except (TypeError, ValueError, OverflowError):
+                    _require_finite(item, name)
+        raise InvalidParamsError(f"{name} must be an array of {dtype.__name__}s: {exc}") from exc
+
+
 @dataclass(frozen=True, eq=False)
 class MeasureGrid:
     """Evaluated c-index lattice at one prevalence.
@@ -145,7 +165,7 @@ class MeasureGrid:
     def __post_init__(self) -> None:
         object.__setattr__(self, "prevalence", _require_prob(self.prevalence, "prevalence", open_interval=True))
         for name in ("p0_axis", "rr_axis", "par_axis", "c_values", "mask"):
-            array = np.asarray(getattr(self, name), bool if name == "mask" else float).view()
+            array = _typed_array(getattr(self, name), bool if name == "mask" else float, name).view()
             array.flags.writeable = False
             object.__setattr__(self, name, array)
         for name in ("p0_axis", "rr_axis", "par_axis"):

@@ -4,9 +4,9 @@ These deliberately avoid the library's float code paths: the measures are
 recomputed in exact rational arithmetic, the pairwise c statistic by
 explicit enumeration over the expanded cohort, the cohort counts by a
 per-subject threshold tabulation of the documented draw, and contour
-vertices are checked by a locally written bilinear interpolation. The one
-exception is ``bisect_rr_for_target_c``, a frozen copy of an earlier solver
-that the current one must match bit for bit.
+vertices are checked by a locally written bilinear interpolation. The
+exceptions are ``bisect_rr_for_target_c`` and ``reference_rr_for_target_c``,
+frozen copies of earlier solvers that the current one must match bit for bit.
 """
 
 import math
@@ -16,6 +16,9 @@ import numpy as np
 
 from binaryrisk.errors import InvalidParamsError, TargetUnreachableError
 from binaryrisk.measures import (
+    _EPSILON,
+    _FLOAT_MIN,
+    _closed_root,
     _measure_kernel,
     _require_finite,
     _require_positive,
@@ -125,6 +128,77 @@ def bisect_rr_for_target_c(f, p0, target_c, *, tolerance=1e-10):
             lo, c_lo = mid, c_mid
         else:
             hi, c_hi = mid, c_mid
+
+
+def reference_rr_for_target_c(f, p0, target_c, *, tolerance=1e-10):
+    """``measures.rr_for_target_c`` as it was before its tight skip loop, its
+    code verbatim: one loop that tests each midpoint against the certified
+    zone and evaluates c only inside it or in a bracket within tolerance.
+
+    Like ``bisect_rr_for_target_c`` it runs the library's own float kernel
+    and closed-form root; the solver must reproduce its result bits and its
+    exceptions exactly.
+    """
+    f = _require_prob(f, "f", open_interval=True)
+    p0 = _require_prob(p0, "p0", open_interval=True)
+    target = _require_finite(target_c, "target_c")
+    if target < 0.5:
+        raise InvalidParamsError(
+            f"target_c must be at least 0.5 (the c-index at rr = 1), got {target}"
+        )
+    tol = _require_positive(tolerance, "tolerance")
+
+    lo = 1.0
+    hi = max_feasible_rr(p0)
+
+    # Every rr in [1, hi] keeps rr * p0 <= 1: the scenario needs no re-validation.
+    def c_at(rr: float) -> float:
+        return _measure_kernel(f, p0, rr * p0, rr)[4]
+
+    c_hi = c_at(hi)
+    if target > c_hi + tol:
+        raise TargetUnreachableError(
+            f"target_c = {target:.12g} is unreachable: the achievable c-index "
+            f"range is [0.5, {c_hi:.12g}] for f = {f:g}, p0 = {p0:g} with rr "
+            f"in [1, {hi:.6g}]"
+        )
+    if target > c_hi:
+        # e.g. the c of an rr one ulp below hi, which rounds above c(hi)
+        return hi
+    # c(1) is exactly 1/2; evaluating it could fall below the float floor
+    c_lo = 0.5
+    if target <= c_lo:
+        return lo
+
+    # the zone of midpoints whose side is in doubt; the argument is in measures
+    z_lo, z_hi = 0.0, math.inf
+    if f * p0 >= _FLOAT_MIN:
+        root = _closed_root(f, p0, target)
+        bound = 128.0 * _EPSILON
+        for kappa in (1e-12, 1e-9):
+            a, b = root * (1.0 - kappa), root * (1.0 + kappa)
+            if 1.0 < a and b < hi and c_at(a) < target - bound and c_at(b) > target + bound:
+                z_lo, z_hi = a, b
+                break
+
+    # c(lo) < target <= c(hi) holds throughout
+    while True:
+        # rounds as 0.5 * (lo + hi) does, but cannot overflow near 1.8e308
+        mid = 0.5 * lo + 0.5 * hi
+        if z_lo < mid < z_hi or hi - lo <= tol:
+            c_mid = c_at(mid)
+            if abs(c_mid - target) <= tol and (hi - lo) <= tol:
+                return mid
+            below = c_mid < target
+        else:
+            below = mid <= z_lo
+        if mid == lo or mid == hi:
+            # lo and hi are adjacent floats: the bracket cannot shrink. Each end
+            # is 1, whose c is exactly 1/2, or an rr whose c bisection evaluated,
+            # or could have without raising: evaluating it again gives those bits.
+            c_lo = c_lo if lo == 1.0 else c_at(lo)
+            return lo if target - c_lo < c_at(hi) - target else hi
+        lo, hi = (mid, hi) if below else (lo, mid)
 
 
 def pairwise_c_enumerated(counts):

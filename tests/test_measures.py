@@ -38,13 +38,14 @@ from binaryrisk import (
     simulate_cohort,
 )
 from binaryrisk import measures as measures_module
-from binaryrisk.measures import _closed_root, _measure_kernel
+from binaryrisk.measures import _c_at, _closed_root, _measure_kernel
 
 from _oracles import (
     bisect_rr_for_target_c,
     derive_exact,
     exact_par,
     meets_solver_contract,
+    reference_rr_for_target_c,
     ulps_off,
 )
 
@@ -926,6 +927,38 @@ class TestSolverSkipsOnlyCertainSigns:
             per_solve.append(evaluations[0])
         # the reference bisection takes a median of 43
         assert statistics.median(per_solve) <= 8
+
+    @settings(derandomize=True, max_examples=600)
+    @given(
+        f=st.one_of(
+            st.sampled_from([1e-300, 0.9999999999999999]),
+            st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+        ),
+        log_p0=st.floats(math.log(5e-324), math.log1p(-1e-12)),
+        tolerance=st.sampled_from([10.0, 1e-6, 1e-10, 1e-14, 1e-300, 5e-324]),
+        where=st.sampled_from(["half", "interior", "top", "ulp above top", "1e-9 above top"]),
+        share=st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+    )
+    def test_bits_and_errors_match_the_single_loop_solver(
+        self, f, log_p0, tolerance, where, share
+    ):
+        # p0 down to the smallest subnormal, where f*p0 is below the floor and
+        # there is no zone: the tight loop must stop at once
+        p0 = min(max(math.exp(log_p0), 5e-324), 1.0 - 1e-12)
+        try:
+            top = _c_at(f, p0, max_feasible_rr(p0))
+        except DegenerateScenarioError:
+            top = 0.75
+        target = {
+            "half": 0.5,
+            "interior": 0.5 + share * (top - 0.5),
+            "top": top,
+            "ulp above top": math.nextafter(top, 1.0),
+            "1e-9 above top": top + 1e-9,
+        }[where]
+        case = (f, p0, target, tolerance)
+        expected = _solver_outcome(reference_rr_for_target_c, *case)
+        assert _solver_outcome(rr_for_target_c, *case) == expected
 
     @given(
         f=st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),

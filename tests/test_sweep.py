@@ -342,6 +342,27 @@ class TestMeasureGridValidation:
             MeasureGrid(0.2, c_values=np.zeros((3, 3)), mask=np.zeros((3, 3), bool), **axes)
         assert str(excinfo.value) == f"{axis} must be one-dimensional, got shape {axes[axis].shape}"
 
+    @pytest.mark.parametrize(
+        "field, value, message",
+        [
+            ("p0_axis", [10**400, 1.0], f"p0_axis must lie in float range, got {10**400}"),
+            ("p0_axis", ["a", 1.0], "p0_axis must be a real number, got 'a'"),
+            ("rr_axis", [1.0, {}], "rr_axis must be a real number, got {}"),
+            ("par_axis", [0.0, -(10**400)], f"par_axis must lie in float range, got {-(10**400)}"),
+            ("c_values", [[0.0, "x"], [0.0, 0.0]], "c_values must be a real number, got 'x'"),
+            ("c_values", [[0.0], [0.0, 0.0]], "c_values must be an array of floats: "),
+            ("mask", [[False], [False, False]], "mask must be an array of bools: "),
+        ],
+    )
+    def test_unconvertible_entry_is_a_typed_rejection(self, field, value, message):
+        arrays = {
+            "p0_axis": [1.0, 2.0], "rr_axis": [1.0, 2.0], "par_axis": [0.0, 0.1],
+            "c_values": np.zeros((2, 2)), "mask": np.zeros((2, 2), bool), field: value,
+        }
+        with pytest.raises(InvalidParamsError) as excinfo:
+            MeasureGrid(0.2, **arrays)
+        assert str(excinfo.value).startswith(message)
+
     def test_par_axis_length_checked(self):
         with pytest.raises(InvalidParamsError):
             MeasureGrid(
@@ -438,6 +459,76 @@ def _per_level(grid, levels):
     each level's bounds counted from its own first vertex."""
     x, y, bounds = _contour_polylines(grid, levels)
     return [(x[a[0] : a[-1]], y[a[0] : a[-1]], [k - a[0] for k in a]) for a in bounds]
+
+
+@st.composite
+def _whole_domain_panels(draw):
+    """``(grid, levels)``: one panel of a ``plot`` spec over any valid
+    window, resolution 2-7, p0 from 1e-300 and rr windows that reach into the
+    masked corner rr*p0 > 1; levels at least 1e-12 from every grid value."""
+    p0 = sorted(draw(st.lists(st.floats(1e-300, 1.0, exclude_max=True),
+                              min_size=2, max_size=2, unique=True)))
+    rr = sorted(draw(st.lists(st.floats(0.5, 5.0), min_size=2, max_size=2, unique=True)))
+    f = draw(st.sampled_from((1e-300, 0.5, 0.9999999999999999))
+             | st.floats(0.0, 1.0, exclude_min=True, exclude_max=True))
+    spec = GridSpec(prevalences=(f,), p0_min=p0[0], p0_max=p0[1], rr_min=rr[0], rr_max=rr[1],
+                    resolution=draw(st.integers(2, 7)))
+    grid = evaluate_grid(spec, f)
+    values = np.unique(grid.c_values[~grid.mask])
+    # the midpoints between neighbouring values, and a few anywhere in range
+    candidates = list(0.5 * (values[:-1] + values[1:]))
+    for share in draw(st.lists(st.floats(0.0, 1.0), max_size=4)):
+        candidates.append(values[0] + share * (values[-1] - values[0]) if values.size else share)
+    levels = [level for level in candidates if not (np.abs(values - level) <= 1e-12).any()]
+    return grid, draw(st.lists(st.sampled_from(levels), min_size=1, max_size=4)
+                      if levels else st.just([0.75]))
+
+
+class TestContourCrossingsAgainstExactNodes:
+    """On small whole-domain panels, each vertex of a drawn level lies on a
+    lattice edge whose exact end values bracket the level, and every edge of
+    an unmasked cell whose exact ends strictly bracket it carries a vertex:
+    a missed crossing would be a gap in a drawn line. The node values are the
+    ``Fraction`` oracle's, at the rounded product p1 the kernel reads."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(panel=_whole_domain_panels())
+    def test_vertices_and_crossed_edges_agree(self, panel):
+        grid, levels = panel
+        f, p0_axis, rr_axis = grid.prevalence, grid.p0_axis.tolist(), grid.rr_axis.tolist()
+        exact = {
+            (i, j): derive_exact(f, p0, Fraction(rr * p0) / Fraction(p0))["c_index"]
+            for i, rr in enumerate(rr_axis)
+            for j, p0 in enumerate(p0_axis)
+            if not grid.mask[i, j]
+        }
+        # each edge as ((i, j), (i, j)) of its lower and upper end
+        edges = set()
+        for i in range(len(rr_axis) - 1):
+            for j in range(len(p0_axis) - 1):
+                corners = ((i, j), (i, j + 1), (i + 1, j + 1), (i + 1, j))
+                if all(corner in exact for corner in corners):
+                    edges |= {tuple(sorted(pair)) for pair in zip(corners, corners[1:] + corners[:1])}
+
+        def on_edge(x, y, a, b):
+            (ia, ja), (ib, jb) = a, b
+            return (
+                p0_axis[ja] <= x <= p0_axis[jb] and rr_axis[ia] <= y <= rr_axis[ib]
+                and (x == p0_axis[ja] if ja == jb else y == rr_axis[ia])
+            )
+
+        for level, (x, y, _) in zip(levels, _per_level(grid, levels)):
+            exact_level = Fraction(level)
+            crossed = {
+                edge for edge in edges
+                if min(exact[e] for e in edge) < exact_level < max(exact[e] for e in edge)
+            }
+            carrying = set()
+            for vx, vy in zip(x.tolist(), y.tolist()):
+                under = {edge for edge in edges if on_edge(vx, vy, *edge)}
+                assert under & crossed, (level, vx, vy)
+                carrying |= under & crossed
+            assert carrying == crossed, (level, sorted(crossed - carrying))
 
 
 class TestExtractContours:
